@@ -487,7 +487,8 @@ def ef_sharpness_cutoff(digits: int = 14) -> CutoffCertificate:
     scale = 10**digits
     lo_digits = lower.numerator * scale // lower.denominator
     hi_digits = upper.numerator * scale // upper.denominator
-    assert lo_digits == hi_digits, "interval too wide for the requested digits"
+    if lo_digits != hi_digits:
+        raise RuntimeError("interval too wide for the requested digits")
     decimal = "0." + str(lo_digits).zfill(digits)
 
     samples = []

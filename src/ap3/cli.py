@@ -4,8 +4,8 @@ Subcommands: count (T3 of a set document), search (exhaustive extrema),
 verify (property suites, CSV output), bounds (ledger build/closure/export
 and the sharpness cutoff).  Exit codes are a stable contract: 0 success,
 2 usage or input error, 3 search budget exceeded.  All randomness flows from
---seed and is recorded in the output, and results are independent of
---threads, so a run is reproducible from its printed header.
+--seed and is recorded in the output, so a run is reproducible from its
+printed header.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ def _emit(payload: dict, args) -> None:
 
 
 def _header(args, **extra) -> dict:
-    # thread count is deliberately not recorded: results are independent of
-    # it, and output must be bit-identical across thread counts
     cfg = {"seed": getattr(args, "seed", None), **extra}
     return {k: v for k, v in cfg.items() if v is not None}
 
@@ -61,14 +59,20 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+def _write_csv(rows, args) -> None:
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    else:
+        csv.writer(sys.stdout).writerows(rows)
+
+
 def cmd_search(args) -> int:
     if args.threshold_scan:
         if args.N is None:
             raise ValueError("--threshold-scan needs -N")
-        scan = threshold_scan(args.N, budget_nodes=args.budget_nodes, threads=args.threads)
-        writer = csv.writer(open(args.out, "w", newline="") if args.out else sys.stdout)
-        for row in scan.to_csv_rows():
-            writer.writerow(row)
+        scan = threshold_scan(args.N, budget_nodes=args.budget_nodes)
+        _write_csv(scan.to_csv_rows(), args)
         print(f"# largest n/N with ceil(n^2/2) value and family witnesses: "
               f"{scan.largest_good_ratio}", file=sys.stderr)
         return EXIT_OK
@@ -81,8 +85,7 @@ def cmd_search(args) -> int:
     else:
         if args.N is None:
             raise ValueError("modular search needs -N (or pass --integers)")
-        res = extremal_mod(args.n, args.N, args.side,
-                           budget_nodes=args.budget_nodes, threads=args.threads)
+        res = extremal_mod(args.n, args.N, args.side, budget_nodes=args.budget_nodes)
         cfg = _header(args, command="search", context=f"mod {args.N}", n=args.n, side=args.side)
     _emit({"config": cfg, **res.to_document()}, args)
     return EXIT_OK
@@ -97,10 +100,8 @@ def cmd_verify(args) -> int:
     elif args.suite == "complement" and args.N:
         kwargs["moduli"] = tuple(args.N)
     rows, passed = run_suite(args.suite, **kwargs)
-    writer = csv.writer(open(args.out, "w", newline="") if args.out else sys.stdout)
-    writer.writerow(["case", "lhs", "rhs", "holds"])
-    for r in rows:
-        writer.writerow([r["case"], r["lhs"], r["rhs"], r["holds"]])
+    _write_csv([["case", "lhs", "rhs", "holds"]]
+               + [[r["case"], r["lhs"], r["rhs"], r["holds"]] for r in rows], args)
     print(f"# suite={args.suite} seed={args.seed} cases={len(rows)} "
           f"passed={passed}", file=sys.stderr)
     return EXIT_OK if passed else 1
@@ -145,9 +146,7 @@ def cmd_bounds(args) -> int:
                "m3_quarter_upper": str(quarter) if quarter is not None else None}, args)
         return EXIT_OK
     if args.action == "export":
-        writer = csv.writer(open(args.out, "w", newline="") if args.out else sys.stdout)
-        for row in led.export_csv_rows():
-            writer.writerow(row)
+        _write_csv(led.export_csv_rows(), args)
         return EXIT_OK
     raise ValueError(f"unknown bounds action {args.action!r}")
 
@@ -158,9 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1)
-        sp.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("count", help="T3 of a set document")
@@ -176,6 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--width-cap", type=int, default=None)
     sp.add_argument("--threshold-scan", action="store_true",
                     help="emit the per-n table for -N as CSV")
+    sp.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET)
     common(sp)
     sp.set_defaults(fn=cmd_search)
 

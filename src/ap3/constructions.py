@@ -81,7 +81,8 @@ def generate_family(tag: FamilyTag) -> IntegerSet:
     els += list(range(-k, k + 1))
     els += list(range(k + 2, k + 2 * m + 1, 2))
     out = IntegerSet(els)
-    assert len(out) == tag.size
+    if len(out) != tag.size:
+        raise RuntimeError(f"family {tag} generated {len(out)} elements, expected {tag.size}")
     return out
 
 

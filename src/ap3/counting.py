@@ -201,7 +201,8 @@ def count_report(A: ResidueSet) -> CountReport:
         raise ValueError("the trivial/combinatorial split needs an odd modulus")
     t3 = t3_fast(A)
     n = len(A)
-    assert (t3 - n) % 2 == 0
+    if (t3 - n) % 2 != 0:
+        raise RuntimeError(f"T3 - n = {t3 - n} is odd")
     return CountReport(t3, n, (t3 - n) // 2)
 
 
@@ -214,7 +215,8 @@ def midpoint_upper_bound(n: int) -> int:
         raise ValueError("cardinality must be nonnegative")
     summation = n + 2 * sum(min(j - 1, n - j) for j in range(1, n + 1))
     ceil_form = (n * n + 1) // 2
-    assert summation == ceil_form
+    if summation != ceil_form:
+        raise RuntimeError(f"midpoint count {summation} != ceil(n^2/2) = {ceil_form}")
     return ceil_form
 
 

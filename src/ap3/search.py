@@ -16,7 +16,6 @@ from math import comb
 
 from .constructions import FamilyTag, embed_mod, family_tags, generate_family
 from .counting import midpoint_upper_bound, t3_naive
-from .parallel import pmap
 from .sets import (
     AffineMap,
     AnySet,
@@ -164,9 +163,7 @@ def max3ap_integers(
     return ExtremalResult(best, wits, space, pruned)
 
 
-def _extremal_table(
-    n: int, N: int, budget_nodes: int, threads: int
-) -> tuple[ExtremalResult, ExtremalResult]:
+def _extremal_table(n: int, N: int, budget_nodes: int) -> tuple[ExtremalResult, ExtremalResult]:
     """One transversal pass computing both the max and the min side."""
     if not is_prime(N):
         raise ValueError(f"modular search requires a prime modulus, got {N}")
@@ -180,14 +177,7 @@ def _extremal_table(
             estimate=candidates,
         )
 
-    def scan(part: int):
-        rows = []
-        for rep in affine_orbit_transversal(n, N, part, max(threads, 1)):
-            rows.append((t3_naive(rep), rep))
-        return rows
-
-    parts = pmap(scan, range(max(threads, 1)), threads)
-    rows = [row for part in parts for row in part]
+    rows = [(t3_naive(rep), rep) for rep in affine_orbit_transversal(n, N)]
     orbits = len(rows)
 
     def side(best_val: int) -> ExtremalResult:
@@ -206,12 +196,11 @@ def extremal_mod(
     N: int,
     side: str = "max",
     budget_nodes: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> ExtremalResult:
     """Exact M3(n, N) or m3(n, N) with all extremal witnesses, N prime."""
     if side not in ("max", "min"):
         raise ValueError(f"side must be 'max' or 'min', got {side!r}")
-    hi, lo = _extremal_table(n, N, budget_nodes, threads)
+    hi, lo = _extremal_table(n, N, budget_nodes)
     return hi if side == "max" else lo
 
 
@@ -220,7 +209,6 @@ def extremal_mod_via_complement(
     N: int,
     side: str = "max",
     budget_nodes: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> ExtremalResult:
     """The same extremum computed through the complement identity.
 
@@ -234,7 +222,7 @@ def extremal_mod_via_complement(
     if n == N:
         full = ResidueSet(N, range(N))
         return ExtremalResult(t3_naive(full), (canonicalize(full),), 1, 0)
-    other = extremal_mod(N - n, N, "min" if side == "max" else "max", budget_nodes, threads)
+    other = extremal_mod(N - n, N, "min" if side == "max" else "max", budget_nodes)
     wits = sorted(
         (canonicalize(w.representative.complement()) for w in other.witnesses),
         key=lambda f: f.encoding,
@@ -308,7 +296,8 @@ def classify_extremal(A: AnySet) -> ClassificationResult:
             if emb_form.encoding != form.encoding:
                 continue
             witness = _compose(form.to_representative.inverse(), emb_form.to_representative)
-            assert witness.apply(emb.residues).elements == A.elements
+            if witness.apply(emb.residues).elements != A.elements:
+                raise RuntimeError("classification map does not send the family onto A")
             return ClassificationResult(True, tag, witness)
     if fallback is not None:
         return ClassificationResult(True, fallback, None)
@@ -336,16 +325,14 @@ class ThresholdScan:
         return out
 
 
-def threshold_scan(
-    N: int, budget_nodes: int = DEFAULT_BUDGET, threads: int = 1
-) -> ThresholdScan:
+def threshold_scan(N: int, budget_nodes: int = DEFAULT_BUDGET) -> ThresholdScan:
     """For each n <= N: the exact M3(n, N), whether it equals ceil(n^2/2),
     and whether every witness is a family image; reports the largest n/N
     where both hold."""
     rows = []
     best = Fraction(0)
     for n in range(1, N + 1):
-        res = extremal_mod(n, N, "max", budget_nodes, threads)
+        res = extremal_mod(n, N, "max", budget_nodes)
         half = res.value == midpoint_upper_bound(n)
         all_ef = all(classify_extremal(w.representative).matched for w in res.witnesses)
         rows.append(ThresholdRow(n, res.value, half, all_ef))

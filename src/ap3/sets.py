@@ -325,36 +325,24 @@ def canonicalize(A: AnySet) -> CanonicalForm:
     return _canonicalize_int(A)
 
 
-def affine_orbit_transversal(
-    n: int,
-    N: int,
-    part_index: int = 0,
-    num_parts: int = 1,
-) -> Iterator[ResidueSet]:
+def affine_orbit_transversal(n: int, N: int) -> Iterator[ResidueSet]:
     """Yield one canonical representative per affine orbit of n-subsets of Z/NZ.
 
     Requires N prime (the affine group then has order N*(N-1) and acts the
     same way on every nonzero difference).  Composite moduli are not
-    supported.  The stream is partitionable: with num_parts > 1, part
-    part_index yields every num_parts-th candidate, and the union over all
-    parts is exactly the full transversal regardless of scheduling.
+    supported.
     """
     if not is_prime(N):
         raise ValueError(f"orbit transversal requires a prime modulus, got {N}")
     if not (1 <= n <= N):
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
-    if not (0 <= part_index < num_parts):
-        raise ValueError("invalid partition indices")
     # Every canonical representative contains 0, so candidates are subsets
     # of {1,...,N-1} of size n-1 with 0 adjoined.
-    idx = 0
     for rest in combinations(range(1, N), n - 1):
-        if idx % num_parts == part_index:
-            cand = ResidueSet(N, (0,) + rest)
-            form = canonicalize(cand)
-            if form.representative.elements == cand.elements:
-                yield cand
-        idx += 1
+        cand = ResidueSet(N, (0,) + rest)
+        form = canonicalize(cand)
+        if form.representative.elements == cand.elements:
+            yield cand
 
 
 def orbit_size(A: ResidueSet) -> int:
@@ -376,7 +364,8 @@ def orbit_size(A: ResidueSet) -> int:
             gaps = _circular_gaps(pts, N)
             stab += sum(1 for i in range(n) if gaps[i:] + gaps[:i] == base_gaps)
     group_order = N * (N - 1)
-    assert group_order % stab == 0
+    if group_order % stab != 0:
+        raise RuntimeError("stabilizer order does not divide the group order")
     return group_order // stab
 
 
@@ -412,7 +401,7 @@ def set_from_document(doc: dict) -> AnySet:
     modulus = doc.get("modulus")
     if modulus is None:
         return IntegerSet(elements)
-    if not isinstance(modulus, int) or modulus < 1:
+    if not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 1:
         raise ValueError(f"invalid modulus: {modulus!r}")
     bad = [x for x in elements if not (0 <= x < modulus)]
     if bad:

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -172,6 +173,18 @@ class TestBounds:
         code, _, err = run(capsys, ["bounds", "closure", "--ledger", str(path)])
         assert code == 2
 
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    def test_csv_outputs_are_closed(self, tmp_path, capsys):
+        ledger = str(tmp_path / "ledger.json")
+        assert run(capsys, ["bounds", "build", "--ledger", ledger])[0] == 0
+        suite_csv, ledger_csv = tmp_path / "suite.csv", tmp_path / "ledger.csv"
+        assert run(capsys, ["verify", "behrend", "--out", str(suite_csv)])[0] == 0
+        assert run(capsys, ["bounds", "export", "--ledger", ledger, "--out", str(ledger_csv)])[0] == 0
+        gc.collect()
+        assert suite_csv.read_text().startswith("case,lhs,rhs,holds")
+        assert ledger_csv.read_text().startswith("target,alpha,side,value,provenance")
+
     def test_cutoff(self, capsys):
         code, out, _ = run(capsys, ["bounds", "cutoff"])
         assert code == 0
@@ -181,10 +194,19 @@ class TestBounds:
 
 
 class TestDeterminism:
-    def test_search_output_thread_independent(self, capsys):
-        _, out1, _ = run(capsys, ["search", "-n", "5", "-N", "13", "--threads", "1"])
-        _, out2, _ = run(capsys, ["search", "-n", "5", "-N", "13", "--threads", "2"])
-        assert out1 == out2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "-n", "5", "-N", "13", "--threads", "2"],
+            ["search", "-n", "5", "-N", "13", "--format", "csv"],
+            ["bounds", "cutoff", "--budget-nodes", "10"],
+        ],
+        ids=["search-threads", "search-format", "bounds-budget-nodes"],
+    )
+    def test_removed_option_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_repeat_run_identical(self, capsys):
         _, out1, _ = run(capsys, ["search", "--integers", "-n", "6"])

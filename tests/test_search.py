@@ -126,12 +126,6 @@ class TestExtremalMod:
             values = [extremal_mod(n, N, "max").value for n in range(1, N + 1)]
             assert values == sorted(values)
 
-    def test_parallel_equals_serial(self):
-        a = extremal_mod(5, 13, "max", threads=1)
-        b = extremal_mod(5, 13, "max", threads=3)
-        assert a.value == b.value
-        assert [w.encoding for w in a.witnesses] == [w.encoding for w in b.witnesses]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             extremal_mod(3, 9)

@@ -195,13 +195,6 @@ class TestTransversal:
             total = sum(orbit_size(rep) for rep in affine_orbit_transversal(n, N))
             assert total == comb(N, n)
 
-    def test_partition_is_exact(self):
-        whole = {r.elements for r in affine_orbit_transversal(4, 11)}
-        parts = set()
-        for i in range(3):
-            parts |= {r.elements for r in affine_orbit_transversal(4, 11, i, 3)}
-        assert parts == whole
-
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
             list(affine_orbit_transversal(2, 9))
@@ -235,6 +228,8 @@ class TestInterchange:
             {"modulus": 5, "elements": [-1]},
             {"modulus": 0, "elements": []},
             {"modulus": "five", "elements": [0]},
+            {"modulus": True, "elements": [0]},
+            {"modulus": False, "elements": []},
         ],
     )
     def test_malformed_documents(self, doc):
