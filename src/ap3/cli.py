@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from fractions import Fraction
 
 from .bounds import Ledger, build_default_ledger, ef_sharpness_cutoff, submultiplicative_closure
@@ -76,18 +77,25 @@ def cmd_search(args) -> int:
         print(f"# largest n/N with ceil(n^2/2) value and family witnesses: "
               f"{scan.largest_good_ratio}", file=sys.stderr)
         return EXIT_OK
+    start = time.perf_counter()
     if args.integers:
         if args.N is not None:
             raise ValueError("--integers and -N are mutually exclusive")
         res = max3ap_integers(args.n, args.width_cap, budget_nodes=args.budget_nodes)
         cfg = _header(args, command="search", context="integers", n=args.n,
                       width_cap=args.width_cap or 2 * args.n)
+        found = f"pruned={res.pruned_count}"
     else:
         if args.N is None:
             raise ValueError("modular search needs -N (or pass --integers)")
         res = extremal_mod(args.n, args.N, args.side, budget_nodes=args.budget_nodes)
         cfg = _header(args, command="search", context=f"mod {args.N}", n=args.n, side=args.side)
+        found = f"orbits={res.search_space_size - res.pruned_count}"
+    elapsed = time.perf_counter() - start
     _emit({"config": cfg, **res.to_document()}, args)
+    print(f"# search context={cfg['context']} n={args.n} "
+          f"candidates={res.search_space_size} {found} elapsed_s={elapsed:.3f}",
+          file=sys.stderr)
     return EXIT_OK
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -74,12 +73,6 @@ class WeightVector:
         for x in A:
             vals[x] = 1
         return cls(A.modulus, vals)
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        arr = np.array(self.values, dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
 
 
 def _check_moduli(*sets: ResidueSet) -> int:
@@ -220,25 +213,38 @@ def midpoint_upper_bound(n: int) -> int:
     return ceil_form
 
 
+def _pack(values: Sequence[int], nbytes: int) -> int:
+    """sum_i values[i] * 256**(nbytes*i) for nonnegative values < 256**nbytes."""
+    return int.from_bytes(b"".join(v.to_bytes(nbytes, "little") for v in values), "little")
+
+
 def t3_trilinear(f1: WeightVector, f2: WeightVector, f3: WeightVector) -> int:
-    """Exact trilinear form sum_{x,d} f1(x) f2(x+d) f3(x+2d) for integer weights."""
+    """Exact trilinear form sum_{x,d} f1(x) f2(x+d) f3(x+2d) for integer
+    weights of any sign and size, at any modulus.
+
+    r(s) = sum_x f1(x) f3(s - x) comes from big-int products of the
+    nonnegative parts f = f+ - f- (Kronecker substitution; every digit of
+    f1+ f3+ + f1- f3- and of f1+ f3- + f1- f3+ is at most
+    N * max|f1| * max|f3|, so digits never carry); then T3 = sum_y f2(y) r(2y).
+    """
     N = f1.modulus
     if f2.modulus != N or f3.modulus != N:
         raise ValueError("modulus mismatch between weight vectors")
-    a1, a2, a3 = f1.array, f2.array, f3.array
-    # r(s) = sum_x f1(x) f3(s - x); then T3 = sum_y f2(y) r(2y).
-    if N <= 4096:
-        r = np.empty(N, dtype=object)
-        idx = np.arange(N)
-        for s in range(N):
-            r[s] = int(np.dot(a1, a3[(s - idx) % N]))
-    else:
-        bound = N * int(np.abs(a1).max(initial=0)) * int(np.abs(a3).max(initial=0))
-        if bound >= _FFT_SAFE_LIMIT or a1.min(initial=0) < 0 or a3.min(initial=0) < 0:
-            raise ValueError("weights too large for the fast path at this modulus")
-        conv = np.rint(np.fft.irfft(np.fft.rfft(a1) * np.fft.rfft(a3), N)).astype(np.int64)
-        r = conv.astype(object)
-    return int(sum(int(f2.values[y]) * int(r[(2 * y) % N]) for y in range(N)))
+    a, c = f1.values, f3.values
+    if not any(a) or not any(c):
+        return 0
+    bound = N * max(map(abs, a)) * max(map(abs, c))
+    nbytes = bound.bit_length() // 8 + 1
+    a_pos, a_neg = (_pack([max(sign * v, 0) for v in a], nbytes) for sign in (1, -1))
+    c_pos, c_neg = (_pack([max(sign * v, 0) for v in c], nbytes) for sign in (1, -1))
+    size = (2 * N - 1) * nbytes
+    plus = (a_pos * c_pos + a_neg * c_neg).to_bytes(size, "little")
+    minus = (a_pos * c_neg + a_neg * c_pos).to_bytes(size, "little")
+    r = [0] * N
+    for k in range(2 * N - 1):
+        digit = slice(k * nbytes, (k + 1) * nbytes)
+        r[k % N] += int.from_bytes(plus[digit], "little") - int.from_bytes(minus[digit], "little")
+    return sum(w * r[(2 * y) % N] for y, w in enumerate(f2.values) if w)
 
 
 def additive_energy(A: AnySet, B: AnySet) -> int:

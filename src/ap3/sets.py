@@ -325,24 +325,74 @@ def canonicalize(A: AnySet) -> CanonicalForm:
     return _canonicalize_int(A)
 
 
+def _has_smaller_image(els: tuple[int, ...], N: int, inv: list[int], full: int) -> bool:
+    """True if some image a*A - p, with p and p + 1 in a*A, sorts below A.
+
+    For two n-sets containing 0, the smaller gap sequence read from 0 belongs
+    to the lexicographically smaller sorted tuple, and that set owns the
+    lowest differing bit of the two N-bit masks.  The first difference tried
+    is d = 1, so A's own rotations come first; returns at the first smaller
+    image.
+    """
+    mask = 0
+    for e in els:
+        mask |= 1 << e
+    tried = [False] * N
+    for x in els:
+        for y in els:
+            d = (y - x) % N
+            if d == 0 or tried[d]:
+                continue
+            tried[d] = True
+            a = inv[d]
+            m = 0
+            for e in els:
+                m |= 1 << (a * e % N)
+            # bit p of starts: p and p + 1 (mod N) both lie in a*A
+            starts = m & ((m >> 1) | ((m & 1) << (N - 1)))
+            while starts:
+                low = starts & -starts
+                starts ^= low
+                p = low.bit_length() - 1
+                image = ((m >> p) | (m << (N - p))) & full
+                diff = image ^ mask
+                if diff & -diff & image:
+                    return True
+    return False
+
+
 def affine_orbit_transversal(n: int, N: int) -> Iterator[ResidueSet]:
     """Yield one canonical representative per affine orbit of n-subsets of Z/NZ.
 
-    Requires N prime (the affine group then has order N*(N-1) and acts the
-    same way on every nonzero difference).  Composite moduli are not
-    supported.
+    The representative is the set whose circular gap sequence, read from 0,
+    is the least one over the orbit (as in canonicalize).  Requires N prime
+    (the affine group then has order N*(N-1) and acts the same way on every
+    nonzero difference).  Composite moduli are not supported.
+
+    For n >= 2 two facts cut the work.  If x, y in A and d = y - x, the
+    dilate d^{-1}*A contains d^{-1}*x and d^{-1}*x + 1, so some image has a
+    gap of 1; the least gap sequence therefore starts with 1 and every
+    representative contains {0, 1}.  And an image whose gap sequence starts
+    with 1 is a*A - p with p, p + 1 in a*A, that is a*(y - x) = 1 for some
+    x, y in A: only the scales a = d^{-1}, d in A - A nonzero, and only the
+    rotations starting at a gap of 1, can reach the least sequence.  So the
+    candidates are {0, 1} + rest over the (n-2)-subsets of {2..N-1}, in
+    lexicographic order, and a candidate is yielded unless one of those
+    images is smaller.
     """
     if not is_prime(N):
         raise ValueError(f"orbit transversal requires a prime modulus, got {N}")
     if not (1 <= n <= N):
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
-    # Every canonical representative contains 0, so candidates are subsets
-    # of {1,...,N-1} of size n-1 with 0 adjoined.
-    for rest in combinations(range(1, N), n - 1):
-        cand = ResidueSet(N, (0,) + rest)
-        form = canonicalize(cand)
-        if form.representative.elements == cand.elements:
-            yield cand
+    if n == 1:
+        yield ResidueSet(N, (0,))
+        return
+    full = (1 << N) - 1
+    inv = [0] + [pow(d, -1, N) for d in range(1, N)]
+    for rest in combinations(range(2, N), n - 2):
+        els = (0, 1) + rest
+        if not _has_smaller_image(els, N, inv, full):
+            yield ResidueSet(N, els)
 
 
 def orbit_size(A: ResidueSet) -> int:

@@ -61,3 +61,44 @@ def affine_orbit(elements, N):
         for b in range(N):
             out.add(frozenset((a * x + b) % N for x in elements))
     return out
+
+
+def transversal_brute(n, N):
+    """Affine orbit representatives of n-subsets of Z/NZ, in lexicographic order.
+
+    A candidate is a sorted n-subset containing 0; it is kept iff its circular
+    gap sequence read from 0 is the least over every unit scale a and every
+    rotation of the gap sequence of a*A.
+    """
+    from math import gcd
+
+    def gaps(points):
+        k = len(points)
+        return tuple((points[(i + 1) % k] - points[i]) % N or N for i in range(k))
+
+    reps = []
+    for rest in combinations(range(1, N), n - 1):
+        cand = (0,) + rest
+        own = gaps(cand)
+        least = own
+        for a in range(1, N):
+            if gcd(a, N) != 1:
+                continue
+            g = gaps(sorted(a * x % N for x in cand))
+            for i in range(n):
+                least = min(least, g[i:] + g[:i])
+        if own == least:
+            reps.append(cand)
+    return reps
+
+
+def trilinear_brute(f1, f2, f3, N):
+    """sum_{x,d} f1(x) f2(x+d) f3(x+2d), looping over the supports of f1 and f2."""
+    total = 0
+    for x in range(N):
+        if not f1[x]:
+            continue
+        for y in range(N):
+            if f2[y]:
+                total += f1[x] * f2[y] * f3[(2 * y - x) % N]
+    return total

@@ -1,9 +1,73 @@
 import gc
 import json
+import re
 
 import pytest
 
 from ap3.cli import main
+
+
+# Exact stdout of two searches, kept byte for byte: the summary line goes to
+# stderr and must not change what a search prints.
+SEARCH_MOD_STDOUT = """\
+{
+ "config": {
+  "command": "search",
+  "context": "mod 7",
+  "n": 3,
+  "seed": 0,
+  "side": "min"
+ },
+ "pruned_count": 13,
+ "search_space_size": 15,
+ "value": 3,
+ "witnesses": [
+  {
+   "elements": [
+    0,
+    1,
+    3
+   ],
+   "modulus": 7
+  }
+ ]
+}
+"""
+
+SEARCH_INT_STDOUT = """\
+{
+ "config": {
+  "command": "search",
+  "context": "integers",
+  "n": 4,
+  "seed": 0,
+  "width_cap": 8
+ },
+ "pruned_count": 0,
+ "search_space_size": 56,
+ "value": 8,
+ "witnesses": [
+  {
+   "elements": [
+    0,
+    1,
+    2,
+    3
+   ],
+   "modulus": null
+  },
+  {
+   "elements": [
+    0,
+    1,
+    2,
+    4
+   ],
+   "modulus": null
+  }
+ ]
+}
+"""
 
 
 def write_doc(tmp_path, name, doc):
@@ -91,6 +155,22 @@ class TestSearch:
         code, out, _ = run(capsys, ["search", "-n", "3", "-N", "7", "--out", str(out_path)])
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text())["value"] == 5
+
+    @pytest.mark.parametrize(
+        "argv, stdout, summary",
+        [
+            (["search", "-n", "3", "-N", "7", "--side", "min"], SEARCH_MOD_STDOUT,
+             r"# search context=mod 7 n=3 candidates=15 orbits=2 elapsed_s=\d+\.\d{3}"),
+            (["search", "--integers", "-n", "4"], SEARCH_INT_STDOUT,
+             r"# search context=integers n=4 candidates=56 pruned=0 elapsed_s=\d+\.\d{3}"),
+        ],
+        ids=["modular", "integers"],
+    )
+    def test_summary_on_stderr_stdout_unchanged(self, capsys, argv, stdout, summary):
+        code, out, err = run(capsys, argv)
+        assert code == 0
+        assert out == stdout
+        assert re.fullmatch(summary + "\n", err)
 
     def test_threshold_scan(self, capsys):
         code, out, err = run(capsys, ["search", "--threshold-scan", "-N", "5"])

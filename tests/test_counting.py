@@ -19,7 +19,13 @@ from ap3.counting import (
     t3_trilinear,
 )
 from ap3.sets import IntegerSet, ResidueSet
-from oracles import energy_brute, t3_int_brute, t3_mod_brute, t3_mod_brute_triple
+from oracles import (
+    energy_brute,
+    t3_int_brute,
+    t3_mod_brute,
+    t3_mod_brute_triple,
+    trilinear_brute,
+)
 
 
 class TestT3Naive:
@@ -188,6 +194,34 @@ class TestTrilinear:
         A = ResidueSet(N, random.Random(4).sample(range(N), 800))
         f = WeightVector.indicator(A)
         assert t3_trilinear(f, f, f) == t3_fast(A)
+
+    @pytest.mark.parametrize("N", [7, 4093, 4099])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(-3, 4), (2**40, 2**40 + 1), (-(2**64), 2**64), (2**63, 2**70)],
+        ids=["small-signed", "2**40", "signed-2**64", "beyond-int64"],
+    )
+    def test_exact_against_support_oracle(self, N, lo, hi):
+        # both sides of the old N = 4096 switch, negative weights and
+        # weights outside int64
+        rng = random.Random(N * 7 + lo % 1000)
+        window = sorted({x % N for x in range(-40, 40)})  # progressions wrap past 0
+        vals = []
+        for _ in range(3):
+            v = [0] * N
+            for x in rng.sample(window, min(len(window), 50)):
+                v[x] = rng.randint(lo, hi)
+            vals.append(v)
+        got = t3_trilinear(*(WeightVector(N, v) for v in vals))
+        assert got == trilinear_brute(*vals, N)
+        assert got != 0
+
+    def test_regressions_overflow_and_single_negative(self):
+        big = WeightVector(7, [2**40] * 7)
+        assert t3_trilinear(big, big, big) == 49 * 2**120
+        for N in (4093, 4099):
+            f = WeightVector(N, [-1] + [0] * (N - 1))
+            assert t3_trilinear(f, f, f) == -1
 
 
 class TestAdditiveEnergy:

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from ap3.constructions import FamilyTag, embed_mod, family_tags, generate_family
@@ -135,6 +137,17 @@ class TestExtremalMod:
             extremal_mod(3, 7, "median")
         with pytest.raises(BudgetExceededError):
             extremal_mod(10, 101)
+
+    def test_output_counts_pinned(self):
+        # the reported search space is every candidate containing 0, whatever
+        # the transversal enumerates internally; 95 orbits at n=8, N=17
+        res = extremal_mod(8, 17)
+        assert res.search_space_size == 11440 == comb(16, 7)
+        assert res.pruned_count == 11345
+        # the budget is checked against the same count
+        with pytest.raises(BudgetExceededError) as exc:
+            extremal_mod(10, 101)
+        assert exc.value.estimate == comb(100, 9)
 
 
 class TestViaComplement:

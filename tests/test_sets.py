@@ -20,7 +20,7 @@ from ap3.sets import (
     set_to_document,
     sumset,
 )
-from oracles import affine_orbit
+from oracles import affine_orbit, transversal_brute
 
 
 class TestResidueSet:
@@ -189,11 +189,25 @@ class TestTransversal:
         assert len(list(affine_orbit_transversal(2, 5))) == 1
         assert len(list(affine_orbit_transversal(3, 7))) == 2
 
-    @pytest.mark.parametrize("N", [5, 7, 11])
+    @pytest.mark.parametrize("N", [5, 7, 11, 13, 17, 19])
     def test_orbit_stabilizer_sum(self, N):
         for n in range(1, N + 1):
             total = sum(orbit_size(rep) for rep in affine_orbit_transversal(n, N))
             assert total == comb(N, n)
+
+    @pytest.mark.parametrize("N", [2, 3, 5, 7, 11, 13])
+    def test_equals_literal_oracle_in_order(self, N):
+        for n in range(1, N + 1):
+            got = [rep.elements for rep in affine_orbit_transversal(n, N)]
+            assert got == transversal_brute(n, N), (n, N)
+
+    @pytest.mark.parametrize("N", [7, 13, 17])
+    def test_representatives_contain_0_1_and_are_canonical(self, N):
+        for n in range(1, N + 1):
+            for rep in affine_orbit_transversal(n, N):
+                if n >= 2:
+                    assert rep.elements[:2] == (0, 1)
+                assert canonicalize(rep).representative.elements == rep.elements
 
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
