@@ -85,6 +85,24 @@ class BoundRecord:
 
     @classmethod
     def from_document(cls, doc: dict) -> "BoundRecord":
+        def corrupt(why: str) -> ValueError:
+            return ValueError(f"corrupt ledger record ({why}): {doc!r}")
+
+        if not isinstance(doc, dict):
+            raise corrupt("not an object")
+        conditional = doc.get("conditional", False)
+        if not isinstance(conditional, bool):
+            raise corrupt("'conditional' must be true or false")
+        modulus = doc.get("finite_modulus")
+        if modulus is not None and (
+            not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 1
+        ):
+            raise corrupt("'finite_modulus' must be an integer >= 1 or null")
+        record_id = doc.get("id")
+        if record_id is not None and not isinstance(record_id, str):
+            raise corrupt("'id' must be a string or null")
+        if not isinstance(doc.get("provenance"), str):
+            raise corrupt("'provenance' must be a string")
         try:
             return cls(
                 target=doc["target"],
@@ -92,12 +110,12 @@ class BoundRecord:
                 value=Fraction(doc["value"]),
                 side=doc["side"],
                 provenance=doc["provenance"],
-                conditional=bool(doc.get("conditional", False)),
-                finite_modulus=doc.get("finite_modulus"),
-                record_id=doc.get("id"),
+                conditional=conditional,
+                finite_modulus=modulus,
+                record_id=record_id,
             )
         except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-            raise ValueError(f"corrupt ledger record: {doc!r}") from exc
+            raise corrupt(str(exc)) from exc
 
 
 class Ledger:
@@ -109,12 +127,20 @@ class Ledger:
 
     def __init__(self):
         self.records: list[BoundRecord] = []
+        self._ids: set[str] = set()
         self._upper: dict[tuple[str, Fraction], Fraction] = {}
         self._lower: dict[tuple[str, Fraction], Fraction] = {}
 
     def add(self, record: BoundRecord) -> BoundRecord:
+        """Append a record; one without an id gets a fresh r<NNNNN> id."""
         if record.record_id is None:
-            record = replace(record, record_id=f"r{len(self.records):05d}")
+            k = len(self.records)
+            while f"r{k:05d}" in self._ids:
+                k += 1
+            record = replace(record, record_id=f"r{k:05d}")
+        elif record.record_id in self._ids:
+            raise ValueError(f"duplicate ledger record id {record.record_id!r}")
+        self._ids.add(record.record_id)
         self.records.append(record)
         if not record.conditional and record.finite_modulus is None:
             key = (record.target, record.alpha)
@@ -159,10 +185,11 @@ class Ledger:
 
     @classmethod
     def from_document(cls, doc: dict) -> "Ledger":
-        if not isinstance(doc, dict) or "records" not in doc:
+        records = doc.get("records") if isinstance(doc, dict) else None
+        if not isinstance(records, list):
             raise ValueError("ledger document must contain a 'records' list")
         led = cls()
-        for rec in doc["records"]:
+        for rec in records:
             led.add(BoundRecord.from_document(rec))
         return led
 

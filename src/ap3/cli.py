@@ -50,13 +50,18 @@ def _header(args, **extra) -> dict:
 
 def cmd_count(args) -> int:
     A = load_set(args.input)
+    start = time.perf_counter()
     if isinstance(A, IntegerSet):
         payload = t3_integers(A).to_document()
     elif A.modulus % 2 == 1:
         payload = count_report(A).to_document()
     else:
         payload = {"t3": t3_fast(A), "trivial": len(A), "combinatorial": None}
+    elapsed = time.perf_counter() - start
     _emit({"config": _header(args, command="count", input=str(args.input)), **payload}, args)
+    modulus = "null" if isinstance(A, IntegerSet) else A.modulus
+    print(f"# count modulus={modulus} n={len(A)} t3={payload['t3']} elapsed_s={elapsed:.3f}",
+          file=sys.stderr)
     return EXIT_OK
 
 

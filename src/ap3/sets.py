@@ -7,6 +7,12 @@ maps, canonicalization under the affine group x -> a*x + b, and a transversal
 of the affine orbits of n-subsets of Z/pZ used for isomorph-free exhaustive
 search.
 
+One kernel, _least_image, decides the least image a*A - p of a modular set
+(as an N-bit mask) and every map that reaches it.  canonicalize reads the
+representative, encoding and map off it; the transversal keeps a candidate
+unless some image sorts below it; orbit_size divides the group order by the
+number of maps onto the least image.
+
 All values are immutable after construction and safe to share across threads.
 """
 
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb, gcd
+from math import gcd
 from typing import Iterable, Iterator, Union
 
 __all__ = [
@@ -254,41 +260,73 @@ class CanonicalForm:
     to_representative: AffineMap | None = field(default=None, compare=False)
 
 
-def _circular_gaps(points: list[int], N: int) -> tuple[int, ...]:
-    n = len(points)
-    return tuple(
-        (points[(i + 1) % n] - points[i]) % N or N for i in range(n)
-    ) if n else ()
+def _unit_inverses(N: int) -> list[int]:
+    """inv[d] = d^{-1} mod N for the units d and 0 for the rest.
+
+    Mod 1 the only unit is 0 = 1; it is stored as 1 so that 0 marks non-units.
+    """
+    return [pow(d, -1, N) or 1 if gcd(d, N) == 1 else 0 for d in range(N)]
 
 
-def _min_rotation(seq: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    best, best_i = seq, 0
-    for i in range(1, len(seq)):
-        cand = seq[i:] + seq[:i]
-        if cand < best:
-            best, best_i = cand, i
-    return best, best_i
+def _least_image(
+    els: tuple[int, ...], N: int, inv: list[int], below: int = 0
+) -> tuple[int, list[tuple[int, int]]]:
+    """The least N-bit mask of a*A - p over units a and p in a*A, and every
+    (a, p) that reaches it.
+
+    Masks of sets containing 0 sort as their sorted tuples (equivalently, as
+    their gap sequences read from 0): X sorts below Y iff the lowest bit of
+    X ^ Y lies in X.  If some d in A - A is a unit, d^{-1}*A - d^{-1}*x
+    contains {0, 1}, so the least image does too, and every map onto it has
+    a = d^{-1} for a unit d in A - A and p, p + 1 in a*A: only those are
+    tried.  Otherwise (n = 1, or no unit difference mod a composite N) every
+    unit and every p are.  A nonzero `below` (an image of A) is the least so
+    far: the search returns at the first image that sorts below it.
+    """
+    full = (1 << N) - 1
+    best, maps = below, []
+    for pairs in (True, False):
+        # pair mode runs over d = y - x in A - A, the fallback over every d
+        xs, ys = (els, els) if pairs else ((0,), range(N))
+        tried = [False] * N
+        for x in xs:
+            for y in ys:
+                d = (y - x) % N
+                if tried[d]:
+                    continue
+                tried[d] = True
+                a = inv[d]
+                if not a:
+                    continue
+                m = 0
+                for e in els:
+                    m |= 1 << (a * e % N)
+                # bit p of starts: p (and p + 1, mod N, in pair mode) lie in a*A
+                starts = m & ((m >> 1) | ((m & 1) << (N - 1))) if pairs else m
+                while starts:
+                    low = starts & -starts
+                    starts ^= low
+                    p = low.bit_length() - 1
+                    image = ((m >> p) | (m << (N - p))) & full
+                    diff = image ^ best
+                    if diff & -diff & image:  # always so while best is 0
+                        if below:
+                            return image, [(a, p)]
+                        best, maps = image, [(a, p)]
+                    elif not diff:
+                        maps.append((a, p))
+        if maps:
+            break
+    return best, maps
 
 
 def _canonicalize_mod(A: ResidueSet) -> CanonicalForm:
     N = A.modulus
-    n = len(A)
-    best_gaps = None
-    best_map = None
-    for a in range(1, N):
-        if gcd(a, N) != 1:
-            continue
-        pts = sorted((a * x) % N for x in A)
-        gaps = _circular_gaps(pts, N)
-        rot, i = _min_rotation(gaps)
-        if best_gaps is None or rot < best_gaps:
-            best_gaps = rot
-            best_map = AffineMap(a, (-pts[i]) % N, N)
-    rep_els = [0]
-    for g in best_gaps[:-1]:
-        rep_els.append(rep_els[-1] + g)
-    rep = ResidueSet(N, rep_els)
-    return CanonicalForm(rep, (N, *best_gaps), best_map)
+    best, maps = _least_image(A.elements, N, _unit_inverses(N))
+    a, p = min(maps)
+    rep = tuple(e for e in range(N) if best >> e & 1)
+    gaps = tuple(y - x for x, y in zip(rep, rep[1:] + (N,)))
+    return CanonicalForm(ResidueSet(N, rep), (N, *gaps), AffineMap(a, -p % N, N))
 
 
 def _normalize_int(els: tuple[int, ...]) -> tuple[int, ...]:
@@ -313,52 +351,17 @@ def canonicalize(A: AnySet) -> CanonicalForm:
     """Canonical form of A under affine equivalence.
 
     Modular sets: the encoding is the lexicographically minimal circular gap
-    sequence over all unit dilations; the attached map sends A onto the
-    representative.  Integer sets: translate the minimum to 0, divide out the
-    gcd of the gaps, and take the lexicographically smaller of the set and
-    its reflection.  Empty sets are rejected.
+    sequence over all unit dilations; the attached map x -> a*x - p sends A
+    onto the representative, with (a, p) the least pair that does.  Integer
+    sets: translate the minimum to 0, divide out the gcd of the gaps, and
+    take the lexicographically smaller of the set and its reflection.  Empty
+    sets are rejected.
     """
     if len(A) == 0:
         raise ValueError("cannot canonicalize the empty set")
     if isinstance(A, ResidueSet):
         return _canonicalize_mod(A)
     return _canonicalize_int(A)
-
-
-def _has_smaller_image(els: tuple[int, ...], N: int, inv: list[int], full: int) -> bool:
-    """True if some image a*A - p, with p and p + 1 in a*A, sorts below A.
-
-    For two n-sets containing 0, the smaller gap sequence read from 0 belongs
-    to the lexicographically smaller sorted tuple, and that set owns the
-    lowest differing bit of the two N-bit masks.  The first difference tried
-    is d = 1, so A's own rotations come first; returns at the first smaller
-    image.
-    """
-    mask = 0
-    for e in els:
-        mask |= 1 << e
-    tried = [False] * N
-    for x in els:
-        for y in els:
-            d = (y - x) % N
-            if d == 0 or tried[d]:
-                continue
-            tried[d] = True
-            a = inv[d]
-            m = 0
-            for e in els:
-                m |= 1 << (a * e % N)
-            # bit p of starts: p and p + 1 (mod N) both lie in a*A
-            starts = m & ((m >> 1) | ((m & 1) << (N - 1)))
-            while starts:
-                low = starts & -starts
-                starts ^= low
-                p = low.bit_length() - 1
-                image = ((m >> p) | (m << (N - p))) & full
-                diff = image ^ mask
-                if diff & -diff & image:
-                    return True
-    return False
 
 
 def affine_orbit_transversal(n: int, N: int) -> Iterator[ResidueSet]:
@@ -378,7 +381,7 @@ def affine_orbit_transversal(n: int, N: int) -> Iterator[ResidueSet]:
     rotations starting at a gap of 1, can reach the least sequence.  So the
     candidates are {0, 1} + rest over the (n-2)-subsets of {2..N-1}, in
     lexicographic order, and a candidate is yielded unless one of those
-    images is smaller.
+    images is smaller (_least_image with the candidate's own mask as `below`).
     """
     if not is_prime(N):
         raise ValueError(f"orbit transversal requires a prime modulus, got {N}")
@@ -387,11 +390,13 @@ def affine_orbit_transversal(n: int, N: int) -> Iterator[ResidueSet]:
     if n == 1:
         yield ResidueSet(N, (0,))
         return
-    full = (1 << N) - 1
-    inv = [0] + [pow(d, -1, N) for d in range(1, N)]
+    inv = _unit_inverses(N)
     for rest in combinations(range(2, N), n - 2):
         els = (0, 1) + rest
-        if not _has_smaller_image(els, N, inv, full):
+        mask = 3
+        for e in rest:
+            mask |= 1 << e
+        if _least_image(els, N, inv, mask)[0] == mask:
             yield ResidueSet(N, els)
 
 
@@ -400,29 +405,14 @@ def orbit_size(A: ResidueSet) -> int:
     N = A.modulus
     if not is_prime(N):
         raise ValueError("orbit size is only computed for prime moduli")
-    n = len(A)
-    if n == 0:
+    if len(A) == 0:
         return 1
-    base_gaps = _circular_gaps(list(A.elements), N)
-    rotations = {base_gaps[i:] + base_gaps[:i] for i in range(n)}
-    stab = 0
-    for a in range(1, N):
-        pts = sorted((a * x) % N for x in A)
-        if _circular_gaps(pts, N) in rotations:
-            # each matching rotation of the dilated gap sequence gives one
-            # translation b with a*A + b = A
-            gaps = _circular_gaps(pts, N)
-            stab += sum(1 for i in range(n) if gaps[i:] + gaps[:i] == base_gaps)
+    maps = _least_image(A.elements, N, _unit_inverses(N))[1]
+    # the maps onto one image form a coset of the stabilizer of A
     group_order = N * (N - 1)
-    if group_order % stab != 0:
+    if group_order % len(maps) != 0:
         raise RuntimeError("stabilizer order does not divide the group order")
-    return group_order // stab
-
-
-def transversal_consistency(n: int, N: int) -> tuple[int, int]:
-    """(sum of orbit sizes over the transversal, C(N, n)); equal iff complete."""
-    total = sum(orbit_size(rep) for rep in affine_orbit_transversal(n, N))
-    return total, comb(N, n)
+    return group_order // len(maps)
 
 
 # ---------------------------------------------------------------------------

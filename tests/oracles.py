@@ -63,6 +63,34 @@ def affine_orbit(elements, N):
     return out
 
 
+def canonical_form_brute(elements, N):
+    """(representative, encoding, (scale, shift)) of a nonempty subset of Z/NZ.
+
+    Tries every unit a (a = 1 when N = 1) and every rotation of the circular
+    gap sequence of a*A.  The least gap sequence wins; among the (a, start)
+    pairs that reach it the first one, in that order, gives the map
+    x -> a*x - start.  The representative is the gap sequence read from 0
+    and the encoding is (N, *gaps).
+    """
+    from math import gcd
+
+    best = None
+    for a in range(1, max(N, 2)):
+        if gcd(a, N) != 1:
+            continue
+        pts = sorted(a * x % N for x in elements)
+        k = len(pts)
+        for i in range(k):
+            gaps = tuple((pts[(i + j + 1) % k] - pts[(i + j) % k]) % N or N for j in range(k))
+            if best is None or gaps < best[0]:
+                best = (gaps, a, pts[i])
+    gaps, a, start = best
+    rep = [0]
+    for g in gaps[:-1]:
+        rep.append(rep[-1] + g)
+    return tuple(rep), (N, *gaps), (a, -start % N)
+
+
 def transversal_brute(n, N):
     """Affine orbit representatives of n-subsets of Z/NZ, in lexicographic order.
 

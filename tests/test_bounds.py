@@ -190,6 +190,53 @@ class TestLedger:
         with pytest.raises(ValueError):
             Ledger.load(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("conditional", "false"),
+            ("conditional", 0),
+            ("conditional", None),
+            ("finite_modulus", "17"),
+            ("finite_modulus", True),
+            ("finite_modulus", 0),
+            ("finite_modulus", 17.0),
+            ("id", 7),
+            ("id", ["r00000"]),
+            ("provenance", 5),
+        ],
+    )
+    def test_record_fields_strictly_typed(self, field, value):
+        doc = {**self.small_ledger().records[0].to_document(), field: value}
+        with pytest.raises(ValueError, match=field):
+            BoundRecord.from_document(doc)
+
+    def test_typed_fields_load(self):
+        doc = {**self.small_ledger().records[0].to_document(), "conditional": False}
+        led = Ledger.from_document({"records": [doc]})
+        assert led.best_upper("m3", Fr(1, 2)) == Fr(5, 48)
+        assert BoundRecord.from_document({**doc, "finite_modulus": 17}).finite_modulus == 17
+
+    @pytest.mark.parametrize("doc", [{"records": 5}, {"records": {}}, {}, [], {"records": [5]}])
+    def test_malformed_ledger_documents(self, doc):
+        with pytest.raises(ValueError):
+            Ledger.from_document(doc)
+
+    def test_duplicate_ids_rejected(self):
+        docs = [r.to_document() for r in self.small_ledger().records]
+        docs[1]["id"] = docs[0]["id"]
+        with pytest.raises(ValueError, match="duplicate"):
+            Ledger.from_document({"records": docs})
+
+    def test_minted_id_never_collides_with_a_loaded_one(self):
+        doc = self.small_ledger().records[0].to_document()
+        led = Ledger.from_document({"records": [{**doc, "id": "r00001"}]})
+        added = led.add(BoundRecord("M3", Fr(1, 3), Fr(1, 18), "lower", "closed-form(z)"))
+        assert added.record_id != "r00001"
+        assert len({r.record_id for r in led.records}) == 2
+
+    def test_minted_ids_unchanged_without_collisions(self):
+        assert [r.record_id for r in self.small_ledger().records] == ["r00000", "r00001"]
+
     def test_csv_export(self):
         rows = self.small_ledger().export_csv_rows()
         assert rows[0] == ["target", "alpha", "side", "value", "provenance"]

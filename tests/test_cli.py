@@ -69,6 +69,19 @@ SEARCH_INT_STDOUT = """\
 }
 """
 
+COUNT_STDOUT = """\
+{
+ "combinatorial": 3,
+ "config": {
+  "command": "count",
+  "input": "s.json",
+  "seed": 0
+ },
+ "t3": 10,
+ "trivial": 4
+}
+"""
+
 
 def write_doc(tmp_path, name, doc):
     path = tmp_path / name
@@ -122,6 +135,19 @@ class TestCount:
         path.write_text("{oops")
         code, _, err = run(capsys, ["count", "--in", str(path)])
         assert code == 2
+
+    def test_summary_on_stderr_stdout_unchanged(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_doc(tmp_path, "s.json", {"modulus": 7, "elements": [0, 1, 2, 4]})
+        code, out, err = run(capsys, ["count", "--in", "s.json"])
+        assert code == 0
+        assert out == COUNT_STDOUT
+        assert re.fullmatch(r"# count modulus=7 n=4 t3=10 elapsed_s=\d+\.\d{3}\n", err)
+
+    def test_summary_integer_context(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "s.json", {"modulus": None, "elements": [-3, -1, 0, 1, 3]})
+        _, _, err = run(capsys, ["count", "--in", path])
+        assert re.fullmatch(r"# count modulus=null n=5 t3=13 elapsed_s=\d+\.\d{3}\n", err)
 
 
 class TestSearch:
@@ -252,6 +278,13 @@ class TestBounds:
         path.write_text("{broken")
         code, _, err = run(capsys, ["bounds", "closure", "--ledger", str(path)])
         assert code == 2
+
+    @pytest.mark.parametrize("text", ['{"records": 5}', '{"records": [5]}', "[]"])
+    def test_malformed_ledger_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "ledger.json"
+        path.write_text(text)
+        code, _, err = run(capsys, ["bounds", "closure", "--ledger", str(path)])
+        assert code == 2 and err.startswith("error:")
 
     @pytest.mark.filterwarnings("error::ResourceWarning")
     @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")

@@ -20,7 +20,7 @@ from ap3.sets import (
     set_to_document,
     sumset,
 )
-from oracles import affine_orbit, transversal_brute
+from oracles import affine_orbit, canonical_form_brute, transversal_brute
 
 
 class TestResidueSet:
@@ -169,6 +169,23 @@ class TestCanonicalize:
         image = AffineMap(a, b).apply(A)
         assert canonicalize(A).encoding == canonicalize(image).encoding
 
+    def test_modulus_one(self):
+        form = canonicalize(ResidueSet(1, [0]))
+        assert form.representative.elements == (0,)
+        assert form.encoding == (1, 1)
+        assert form.to_representative == AffineMap(1, 0, modulus=1)
+
+    @pytest.mark.parametrize("N", range(1, 12))
+    def test_equals_literal_oracle(self, N):
+        # every nonempty subset, composite moduli included
+        for n in range(1, N + 1):
+            for els in combinations(range(N), n):
+                form = canonicalize(ResidueSet(N, els))
+                rep, enc, (a, b) = canonical_form_brute(els, N)
+                assert form.representative.elements == rep, (N, els)
+                assert form.encoding == enc, (N, els)
+                assert form.to_representative == AffineMap(a, b, modulus=N), (N, els)
+
     @pytest.mark.parametrize("N", [4, 5, 6, 7, 8, 9, 10, 11])
     def test_encoding_separates_orbits_exhaustively(self, N):
         # groups of equal encodings must be exactly the affine orbits,
@@ -194,6 +211,12 @@ class TestTransversal:
         for n in range(1, N + 1):
             total = sum(orbit_size(rep) for rep in affine_orbit_transversal(n, N))
             assert total == comb(N, n)
+
+    @pytest.mark.parametrize("N", [2, 3, 5, 7, 11])
+    def test_orbit_size_equals_orbit(self, N):
+        for n in range(N + 1):
+            for els in combinations(range(N), n):
+                assert orbit_size(ResidueSet(N, els)) == len(affine_orbit(els, N)), (N, els)
 
     @pytest.mark.parametrize("N", [2, 3, 5, 7, 11, 13])
     def test_equals_literal_oracle_in_order(self, N):
