@@ -10,6 +10,11 @@ and closes the record set under two relations:
 
 Finite-N construction records are kept separate and never enter the closure
 unless explicitly allowed: a finite count only suggests the limit value.
+
+Every record carries its lineage as data: `parents` holds the ids of the
+records it was derived from (none for a seed, one for a complement transfer,
+two for a product), and `Ledger.add` sets its derivation depth once from
+theirs.  `provenance` is a free human-readable label and is never parsed.
 """
 
 from __future__ import annotations
@@ -50,6 +55,8 @@ class BoundRecord:
     conditional records depend on an unproven hypothesis (a density below an
     unknown threshold) and are excluded from best-bound queries and closure.
     finite_modulus marks values measured on one Z/NZ rather than limits.
+    parents are the ids of the records this one was derived from; depth is
+    set by Ledger.add from the parents' depths.
     """
 
     target: str  # "m3" | "M3"
@@ -60,6 +67,8 @@ class BoundRecord:
     conditional: bool = False
     finite_modulus: int | None = None
     record_id: str | None = field(default=None, compare=False)
+    parents: tuple[str, ...] = ()
+    depth: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if self.target not in ("m3", "M3"):
@@ -81,6 +90,7 @@ class BoundRecord:
             "provenance": self.provenance,
             "conditional": self.conditional,
             "finite_modulus": self.finite_modulus,
+            "parents": list(self.parents),
         }
 
     @classmethod
@@ -103,6 +113,13 @@ class BoundRecord:
             raise corrupt("'id' must be a string or null")
         if not isinstance(doc.get("provenance"), str):
             raise corrupt("'provenance' must be a string")
+        for key in ("alpha", "value"):
+            if not isinstance(doc.get(key), str):
+                raise corrupt(f"{key!r} must be a string")
+        # documents written before lineage was stored have no parents: seeds
+        parents = doc.get("parents", [])
+        if not isinstance(parents, list) or not all(isinstance(p, str) for p in parents):
+            raise corrupt("'parents' must be a list of strings")
         try:
             return cls(
                 target=doc["target"],
@@ -113,9 +130,16 @@ class BoundRecord:
                 conditional=conditional,
                 finite_modulus=modulus,
                 record_id=record_id,
+                parents=tuple(parents),
             )
         except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise corrupt(str(exc)) from exc
+
+
+def _eligible(record: BoundRecord) -> bool:
+    """Whether a record bounds the limit function unconditionally, so that
+    it enters best-bound queries and the closure."""
+    return not record.conditional and record.finite_modulus is None
 
 
 class Ledger:
@@ -127,22 +151,36 @@ class Ledger:
 
     def __init__(self):
         self.records: list[BoundRecord] = []
-        self._ids: set[str] = set()
+        self._depths: dict[str, int] = {}
         self._upper: dict[tuple[str, Fraction], Fraction] = {}
         self._lower: dict[tuple[str, Fraction], Fraction] = {}
 
     def add(self, record: BoundRecord) -> BoundRecord:
-        """Append a record; one without an id gets a fresh r<NNNNN> id."""
-        if record.record_id is None:
-            k = len(self.records)
-            while f"r{k:05d}" in self._ids:
-                k += 1
-            record = replace(record, record_id=f"r{k:05d}")
-        elif record.record_id in self._ids:
+        """Append a record; one without an id gets a fresh r<NNNNN> id.
+
+        Its parents must already be held.  Its depth is 0 without parents,
+        the parent's depth for one (a complement transfer) and one more than
+        the deeper parent's for two (a product).
+        """
+        if record.record_id in self._depths:
             raise ValueError(f"duplicate ledger record id {record.record_id!r}")
-        self._ids.add(record.record_id)
+        if len(record.parents) > 2:
+            raise ValueError(f"a ledger record has at most two parents, got {record.parents!r}")
+        missing = [p for p in record.parents if p not in self._depths]
+        if missing:
+            raise ValueError(f"unknown parent record ids {missing!r}")
+        record_id = record.record_id
+        if record_id is None:
+            k = len(self.records)
+            while f"r{k:05d}" in self._depths:
+                k += 1
+            record_id = f"r{k:05d}"
+        depths = [self._depths[p] for p in record.parents]
+        depth = max(depths, default=0) + (1 if len(depths) == 2 else 0)
+        record = replace(record, record_id=record_id, depth=depth)
+        self._depths[record_id] = depth
         self.records.append(record)
-        if not record.conditional and record.finite_modulus is None:
+        if _eligible(record):
             key = (record.target, record.alpha)
             if record.side in ("upper", "exact"):
                 cur = self._upper.get(key)
@@ -153,9 +191,6 @@ class Ledger:
                 if cur is None or record.value > cur:
                     self._lower[key] = record.value
         return record
-
-    def _eligible(self):
-        return [r for r in self.records if not r.conditional and r.finite_modulus is None]
 
     def best_upper(self, target: str, alpha: Fraction) -> Fraction | None:
         return self._upper.get((target, alpha))
@@ -276,16 +311,17 @@ def complement_transfer(record: BoundRecord) -> BoundRecord:
         provenance=f"complement({record.record_id or record.provenance})",
         conditional=record.conditional,
         finite_modulus=record.finite_modulus,
+        parents=(record.record_id,) if record.record_id is not None else (),
     )
 
 
 def _best_map(ledger: Ledger, target: str, sides: tuple[str, ...], pick_min: bool,
-              eligible=None):
+              below_depth: int | None = None):
     best: dict[Fraction, BoundRecord] = {}
-    for r in ledger._eligible():
-        if r.target != target or r.side not in sides:
+    for r in ledger.records:
+        if not _eligible(r) or r.target != target or r.side not in sides:
             continue
-        if eligible is not None and not eligible(r):
+        if below_depth is not None and r.depth >= below_depth:
             continue
         cur = best.get(r.alpha)
         if cur is None:
@@ -297,42 +333,6 @@ def _best_map(ledger: Ledger, target: str, sides: tuple[str, ...], pick_min: boo
     return best
 
 
-def _parent_ids(record: BoundRecord) -> list[str]:
-    prov = record.provenance
-    for head in ("submultiplicative(", "complement("):
-        if prov.startswith(head):
-            return prov[len(head):-1].split(",")
-    return []
-
-
-def _derivation_depths(ledger: Ledger) -> dict[str, int]:
-    """Product depth of every record: seeds are 0, a product is one deeper
-    than its deepest parent, a complement transfer keeps its parent's depth.
-    Records whose parents are unknown are treated as maximal depth."""
-    depths: dict[str, int] = {}
-
-    by_id = {r.record_id: r for r in ledger.records}
-
-    def depth(r: BoundRecord) -> int:
-        if r.record_id in depths:
-            return depths[r.record_id]
-        parents = _parent_ids(r)
-        if not parents:
-            d = 0
-        elif any(p not in by_id for p in parents):
-            d = 1 << 20
-        elif r.provenance.startswith("complement("):
-            d = depth(by_id[parents[0]])
-        else:
-            d = 1 + max(depth(by_id[p]) for p in parents)
-        depths[r.record_id] = d
-        return d
-
-    for r in ledger.records:
-        depth(r)
-    return depths
-
-
 def submultiplicative_closure(
     ledger: Ledger,
     depth: int = 2,
@@ -341,10 +341,11 @@ def submultiplicative_closure(
     """Close the ledger under complement transfer and the product relations
     m3(ab) <= m3(a) m3(b), M3(ab) >= M3(a) M3(b).
 
-    Products are formed up to the given derivation depth (a product of two
-    records is one level deeper than its deeper parent; complement transfers
-    do not increase depth), and product densities keep their unreduced
-    denominator at most max_denominator.  Since depth-0 records never change,
+    Products are formed up to the given derivation depth: only records whose
+    stored depth lies below it become factors (a product is one level deeper
+    than its deeper parent; complement transfers do not increase depth), and
+    product densities keep their unreduced denominator at most
+    max_denominator.  Since depth-0 records never change,
     the pass structure terminates at an exact fixpoint: re-running adds
     nothing.  A record is added only when it improves the best bound at its
     density.  Returns the number of records added.
@@ -352,7 +353,6 @@ def submultiplicative_closure(
     added = 0
     for _ in range(2 * depth + 2):
         improved = False
-        depths = _derivation_depths(ledger)
         # complement transfers of current best records (depth preserved)
         for target, sides, pick_min in (
             ("m3", ("upper", "exact"), True),
@@ -366,12 +366,10 @@ def submultiplicative_closure(
                     ledger.add(cand)
                     improved = True
                     added += 1
-        depths = _derivation_depths(ledger)
         # product passes: parents must sit strictly below the depth cap
         for target, sides, pick_min in (("m3", ("upper", "exact"), True),
                                         ("M3", ("lower", "exact"), False)):
-            best = _best_map(ledger, target, sides, pick_min,
-                             eligible=lambda r: depths.get(r.record_id, 1 << 20) < depth)
+            best = _best_map(ledger, target, sides, pick_min, below_depth=depth)
             items = sorted(best.items(), key=lambda kv: (kv[0].denominator, kv[0]))
             for i, (a1, r1) in enumerate(items):
                 q1 = a1.denominator
@@ -386,6 +384,7 @@ def submultiplicative_closure(
                         value=r1.value * r2.value,
                         side="upper" if target == "m3" else "lower",
                         provenance=f"submultiplicative({r1.record_id},{r2.record_id})",
+                        parents=(r1.record_id, r2.record_id),
                     )
                     if _improves(ledger, cand):
                         ledger.add(cand)

@@ -150,13 +150,18 @@ def cmd_bounds(args) -> int:
         return EXIT_OK
     led = Ledger.load(args.ledger)
     if args.action == "closure":
+        start = time.perf_counter()
         added = submultiplicative_closure(led, depth=args.depth,
                                           max_denominator=args.max_denominator)
+        elapsed = time.perf_counter() - start
         led.save(args.ledger)
         quarter = led.best_upper("m3", Fraction(1, 4))
         _emit({"config": _header(args, command="bounds closure"), "added": added,
                "consistent": led.check_consistency(),
                "m3_quarter_upper": str(quarter) if quarter is not None else None}, args)
+        max_depth = max((r.depth for r in led.records), default=0)
+        print(f"# closure added={added} records={len(led.records)} max_depth={max_depth} "
+              f"elapsed_s={elapsed:.3f}", file=sys.stderr)
         return EXIT_OK
     if args.action == "export":
         _write_csv(led.export_csv_rows(), args)

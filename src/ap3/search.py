@@ -163,8 +163,15 @@ def max3ap_integers(
     return ExtremalResult(best, wits, space, pruned)
 
 
-def _extremal_table(n: int, N: int, budget_nodes: int) -> tuple[ExtremalResult, ExtremalResult]:
-    """One transversal pass computing both the max and the min side."""
+def extremal_mod(
+    n: int,
+    N: int,
+    side: str = "max",
+    budget_nodes: int = DEFAULT_BUDGET,
+) -> ExtremalResult:
+    """Exact M3(n, N) or m3(n, N) with all extremal witnesses, N prime."""
+    if side not in ("max", "min"):
+        raise ValueError(f"side must be 'max' or 'min', got {side!r}")
     if not is_prime(N):
         raise ValueError(f"modular search requires a prime modulus, got {N}")
     if not (1 <= n <= N):
@@ -178,30 +185,12 @@ def _extremal_table(n: int, N: int, budget_nodes: int) -> tuple[ExtremalResult, 
         )
 
     rows = [(t3_naive(rep), rep) for rep in affine_orbit_transversal(n, N)]
-    orbits = len(rows)
-
-    def side(best_val: int) -> ExtremalResult:
-        wits = sorted(
-            (canonicalize(rep) for v, rep in rows if v == best_val),
-            key=lambda f: f.encoding,
-        )
-        return ExtremalResult(best_val, tuple(wits), candidates, candidates - orbits)
-
-    values = [v for v, _ in rows]
-    return side(max(values)), side(min(values))
-
-
-def extremal_mod(
-    n: int,
-    N: int,
-    side: str = "max",
-    budget_nodes: int = DEFAULT_BUDGET,
-) -> ExtremalResult:
-    """Exact M3(n, N) or m3(n, N) with all extremal witnesses, N prime."""
-    if side not in ("max", "min"):
-        raise ValueError(f"side must be 'max' or 'min', got {side!r}")
-    hi, lo = _extremal_table(n, N, budget_nodes)
-    return hi if side == "max" else lo
+    best = (max if side == "max" else min)(v for v, _ in rows)
+    wits = sorted(
+        (canonicalize(rep) for v, rep in rows if v == best),
+        key=lambda f: f.encoding,
+    )
+    return ExtremalResult(best, tuple(wits), candidates, candidates - len(rows))
 
 
 def extremal_mod_via_complement(

@@ -130,3 +130,33 @@ def trilinear_brute(f1, f2, f3, N):
             if f2[y]:
                 total += f1[x] * f2[y] * f3[(2 * y - x) % N]
     return total
+
+
+def derivation_depths_brute(records):
+    """Product depth of every ledger record, read back out of provenance labels.
+
+    A record labelled "complement(<id>)" has its parent's depth, one labelled
+    "submultiplicative(<id>,<id>)" is one deeper than its deeper parent, and
+    every other record is a seed of depth 0.  Records are resolved by id
+    recursively over the whole list; `records` need only carry `record_id`
+    and `provenance`.
+    """
+    by_id = {r.record_id: r for r in records}
+    depths = {}
+
+    def depth(r):
+        if r.record_id not in depths:
+            prov = r.provenance
+            if prov.startswith("complement("):
+                d = depth(by_id[prov[len("complement("):-1]])
+            elif prov.startswith("submultiplicative("):
+                d = 1 + max(depth(by_id[p])
+                            for p in prov[len("submultiplicative("):-1].split(","))
+            else:
+                d = 0
+            depths[r.record_id] = d
+        return depths[r.record_id]
+
+    for r in records:
+        depth(r)
+    return depths

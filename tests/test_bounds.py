@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
@@ -17,6 +18,7 @@ from ap3.bounds import (
 from ap3.constructions import random_set
 from ap3.counting import t3_fast
 from ap3.sets import ResidueSet
+from oracles import derivation_depths_brute
 
 
 class TestCurve:
@@ -117,7 +119,32 @@ class TestClosure:
         led = self.seed_ledger()
         submultiplicative_closure(led)
         prods = [r for r in led.records if r.provenance.startswith("submultiplicative(")]
-        assert prods and all("," in r.provenance for r in prods)
+        by_id = {r.record_id: r for r in led.records}
+        assert prods
+        for r in prods:
+            p1, p2 = (by_id[p] for p in r.parents)
+            assert r.alpha == p1.alpha * p2.alpha and r.value == p1.value * p2.value
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_depths_equal_literal_oracle(self, depth):
+        led = build_default_ledger(24)
+        submultiplicative_closure(led, depth=depth)
+        assert max(r.depth for r in led.records) == depth
+        assert {r.record_id: r.depth for r in led.records} == derivation_depths_brute(led.records)
+
+    def test_depths_equal_literal_oracle_after_random_inserts(self):
+        led, _ = random_insert_ledger()
+        assert {r.record_id: r.depth for r in led.records} == derivation_depths_brute(led.records)
+
+    def test_parents_held_and_counted_by_kind(self):
+        led = build_default_ledger(24)
+        submultiplicative_closure(led)
+        seen = set()
+        for r in led.records:
+            assert set(r.parents) <= seen  # parents precede their children
+            seen.add(r.record_id)
+            kind = r.provenance.split("(")[0]
+            assert len(r.parents) == {"submultiplicative": 2, "complement": 1}.get(kind, 0)
 
     def test_finite_records_never_enter_closure(self):
         led = self.seed_ledger()
@@ -128,6 +155,36 @@ class TestClosure:
         assert led.best_upper("m3", Fr(1, 4)) == Fr(25, 2304)
 
 
+def random_insert_ledger():
+    """Interleave closures with inserts of valid closed-form bounds at
+    random densities; returns the closed ledger and the consistency check
+    after each closure."""
+    import random
+
+    rng = random.Random(8)
+    led = Ledger()
+    checks = []
+    for step in range(40):
+        q = rng.randrange(2, 40)
+        p = rng.randrange(1, q)
+        a = Fr(p, q)
+        kind = rng.randrange(4)
+        if kind == 0:
+            led.add(BoundRecord("m3", a, a**3, "upper", "closed-form(random-set)"))
+        elif kind == 1 and a <= Fr(1, 2):
+            led.add(BoundRecord("m3", a, a * a / 2, "upper", "closed-form(interval)"))
+        elif kind == 2:
+            led.add(BoundRecord("M3", a, a * a / 2, "lower", "closed-form(interval)"))
+        else:
+            led.add(BoundRecord("M3", a, a * a, "upper", "closed-form(pair-count)"))
+        if step % 10 == 9:
+            submultiplicative_closure(led)
+            checks.append(led.check_consistency())
+    submultiplicative_closure(led)
+    checks.append(led.check_consistency())
+    return led, checks
+
+
 class TestLedger:
     def test_consistency(self):
         led = build_default_ledger()
@@ -136,30 +193,9 @@ class TestLedger:
         assert led.check_consistency()
 
     def test_consistency_under_random_true_inserts(self):
-        # interleave closures with inserts of valid closed-form bounds at
-        # random densities; the two sides must never cross
-        import random
-
-        rng = random.Random(8)
-        led = Ledger()
-        for step in range(40):
-            q = rng.randrange(2, 40)
-            p = rng.randrange(1, q)
-            a = Fr(p, q)
-            kind = rng.randrange(4)
-            if kind == 0:
-                led.add(BoundRecord("m3", a, a**3, "upper", "closed-form(random-set)"))
-            elif kind == 1 and a <= Fr(1, 2):
-                led.add(BoundRecord("m3", a, a * a / 2, "upper", "closed-form(interval)"))
-            elif kind == 2:
-                led.add(BoundRecord("M3", a, a * a / 2, "lower", "closed-form(interval)"))
-            else:
-                led.add(BoundRecord("M3", a, a * a, "upper", "closed-form(pair-count)"))
-            if step % 10 == 9:
-                submultiplicative_closure(led)
-                assert led.check_consistency()
-        submultiplicative_closure(led)
-        assert led.check_consistency()
+        # the two sides must never cross
+        _, checks = random_insert_ledger()
+        assert checks == [True] * 5
 
     def test_inconsistent_detected(self):
         led = Ledger()
@@ -203,6 +239,13 @@ class TestLedger:
             ("id", 7),
             ("id", ["r00000"]),
             ("provenance", 5),
+            ("alpha", True),
+            ("alpha", 0.5),
+            ("value", 0.1),
+            ("value", False),
+            ("parents", "r00000"),
+            ("parents", [0]),
+            ("parents", None),
         ],
     )
     def test_record_fields_strictly_typed(self, field, value):
@@ -236,6 +279,56 @@ class TestLedger:
 
     def test_minted_ids_unchanged_without_collisions(self):
         assert [r.record_id for r in self.small_ledger().records] == ["r00000", "r00001"]
+
+    def test_roundtrip_keeps_lineage_and_stays_closed(self, tmp_path):
+        led = build_default_ledger(24)
+        submultiplicative_closure(led)
+        path = tmp_path / "ledger.json"
+        led.save(path)
+        led2 = Ledger.load(path)
+        assert [(r.record_id, r.parents, r.depth) for r in led2.records] == [
+            (r.record_id, r.parents, r.depth) for r in led.records
+        ]
+        assert submultiplicative_closure(led2) == 0
+
+    def test_documents_without_parents_load_as_seeds(self):
+        led = build_default_ledger(24)
+        submultiplicative_closure(led)
+        docs = [r.to_document() for r in led.records]
+        for doc in docs:
+            del doc["parents"]
+        old = Ledger.from_document({"records": docs})
+        assert old.records == [replace(r, parents=()) for r in led.records]
+        assert all(r.parents == () and r.depth == 0 for r in old.records)
+        submultiplicative_closure(old)
+        assert old.check_consistency()
+
+    @pytest.mark.parametrize(
+        "parents, match",
+        [(("r99999",), "unknown parent"), (("r00000", "r00000", "r00001"), "at most two")],
+        ids=["unknown", "three"],
+    )
+    def test_bad_parents_rejected(self, parents, match):
+        led = self.small_ledger()
+        rec = BoundRecord("m3", Fr(1, 4), Fr(1, 100), "upper", "closed-form(z)", parents=parents)
+        with pytest.raises(ValueError, match=match):
+            led.add(rec)
+        docs = [r.to_document() for r in led.records] + [rec.to_document()]
+        with pytest.raises(ValueError, match=match):
+            Ledger.from_document({"records": docs})
+        assert len(led.records) == 2
+
+    def test_depth_set_on_add(self):
+        led = self.small_ledger()
+        given = BoundRecord("m3", Fr(1, 4), Fr(1, 100), "upper", "closed-form(z)", depth=7)
+        assert led.add(given).depth == 0
+        prod = led.add(BoundRecord("m3", Fr(1, 4), Fr(25, 2304), "upper", "p",
+                                   parents=("r00000", "r00000")))
+        assert prod.depth == 1
+        transfer = led.add(complement_transfer(prod))
+        assert transfer.parents == (prod.record_id,) and transfer.depth == 1
+        assert led.add(BoundRecord("m3", Fr(1, 8), Fr(1, 1000), "upper", "q",
+                                   parents=(prod.record_id, "r00001"))).depth == 2
 
     def test_csv_export(self):
         rows = self.small_ledger().export_csv_rows()

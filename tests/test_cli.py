@@ -255,6 +255,21 @@ class TestVerify:
         assert code == 0 and "passed=True" in err
 
 
+# Exact stdout of a first closure of the default ledger; the summary line
+# goes to stderr.
+CLOSURE_STDOUT = """\
+{
+ "added": 807,
+ "config": {
+  "command": "bounds closure",
+  "seed": 0
+ },
+ "consistent": true,
+ "m3_quarter_upper": "145/13824"
+}
+"""
+
+
 class TestBounds:
     def test_build_closure_export_cycle(self, tmp_path, capsys):
         ledger = str(tmp_path / "ledger.json")
@@ -279,7 +294,34 @@ class TestBounds:
         code, _, err = run(capsys, ["bounds", "closure", "--ledger", str(path)])
         assert code == 2
 
-    @pytest.mark.parametrize("text", ['{"records": 5}', '{"records": [5]}', "[]"])
+    def test_closure_summary_on_stderr_stdout_unchanged(self, tmp_path, capsys):
+        ledger = str(tmp_path / "ledger.json")
+        assert run(capsys, ["bounds", "build", "--ledger", ledger])[0] == 0
+        code, out, err = run(capsys, ["bounds", "closure", "--ledger", ledger])
+        assert code == 0
+        assert out == CLOSURE_STDOUT
+        assert re.fullmatch(
+            r"# closure added=807 records=1272 max_depth=2 elapsed_s=\d+\.\d{3}\n", err
+        )
+        code, out, err = run(capsys, ["bounds", "closure", "--ledger", ledger])
+        assert code == 0 and json.loads(out)["added"] == 0
+        assert re.fullmatch(r"# closure added=0 records=1272 max_depth=2 elapsed_s=\S+\n", err)
+
+    BAD_RECORD = '{"records": [{"target": "m3", "alpha": %s, "value": %s, "side": "upper", ' \
+                 '"provenance": "p", "parents": %s}]}'
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"records": 5}',
+            '{"records": [5]}',
+            "[]",
+            pytest.param(BAD_RECORD % ("true", '"0"', "[]"), id="alpha-bool"),
+            pytest.param(BAD_RECORD % ('"1/2"', "0.1", "[]"), id="value-float"),
+            pytest.param(BAD_RECORD % ('"1/2"', '"0"', '["r00000"]'), id="unknown-parent"),
+            pytest.param(BAD_RECORD % ('"1/2"', '"0"', '"r00000"'), id="parents-not-list"),
+        ],
+    )
     def test_malformed_ledger_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "ledger.json"
         path.write_text(text)

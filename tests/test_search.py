@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from ap3 import search
 from ap3.constructions import FamilyTag, embed_mod, family_tags, generate_family
 from ap3.counting import midpoint_upper_bound, t3_naive
 from ap3.search import (
@@ -148,6 +149,22 @@ class TestExtremalMod:
         with pytest.raises(BudgetExceededError) as exc:
             extremal_mod(10, 101)
         assert exc.value.estimate == comb(100, 9)
+
+    def test_one_canonicalize_call_per_witness(self, monkeypatch):
+        # only the witnesses of the requested side are canonicalized
+        calls = []
+        original = search.canonicalize
+
+        def counting(A):
+            calls.append(A)
+            return original(A)
+
+        monkeypatch.setattr(search, "canonicalize", counting)
+        for side in ("max", "min"):
+            for n in range(1, 14):
+                calls.clear()
+                res = extremal_mod(n, 13, side)
+                assert len(calls) == len(res.witnesses)
 
 
 class TestViaComplement:
