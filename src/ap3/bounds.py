@@ -146,7 +146,8 @@ class Ledger:
     """Append-only store of BoundRecords with best-bound tracking.
 
     Best uppers and lowers per (target, alpha) are kept in indexes updated on
-    every add, so queries and closure passes never rescan the record list.
+    every add, so best-bound queries never rescan the record list.  A
+    closure pass does: `_best_map` walks every record six times per pass.
     """
 
     def __init__(self):

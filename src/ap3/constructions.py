@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .counting import t3_fast
+from .counting import _t3_arrays, t3_fast
 from .parallel import pmap
 from .sets import IntegerSet, ResidueSet
 
@@ -69,18 +69,21 @@ class FamilyTag:
         return 2 * self.k + 2 * self.m
 
 
-def generate_family(tag: FamilyTag) -> IntegerSet:
-    """The set E(k, m) or F(k, m), generated block by block.
+def _family_blocks(tag: FamilyTag) -> tuple[range, range, range]:
+    """The three blocks of E(k, m) or F(k, m) as ranges: the left step-2
+    progression, the centred interval and the right step-2 progression.
 
-    Blocks are emitted as ranges (outer blocks with step 2) and may be empty;
-    there is no special-casing beyond the parameter validation in FamilyTag.
+    Blocks may be empty; there is no special-casing beyond the parameter
+    validation in FamilyTag.
     """
     k, m = tag.k, tag.m
     left_start = -k - 2 * m if tag.family == "E" else -k - 2 * m + 2
-    els = list(range(left_start, -k - 1, 2))
-    els += list(range(-k, k + 1))
-    els += list(range(k + 2, k + 2 * m + 1, 2))
-    out = IntegerSet(els)
+    return range(left_start, -k - 1, 2), range(-k, k + 1), range(k + 2, k + 2 * m + 1, 2)
+
+
+def generate_family(tag: FamilyTag) -> IntegerSet:
+    """The set E(k, m) or F(k, m), generated block by block."""
+    out = IntegerSet(x for block in _family_blocks(tag) for x in block)
     if len(out) != tag.size:
         raise RuntimeError(f"family {tag} generated {len(out)} elements, expected {tag.size}")
     return out
@@ -179,27 +182,30 @@ class OptimizedWraparound:
         return doc
 
 
-def optimize_wraparound(N: int, n: int, threads: int = 1) -> OptimizedWraparound:
+def optimize_wraparound(N: int, n: int) -> OptimizedWraparound:
     """Exhaustive scan of all size-n family embeddings in Z/NZ, keeping the
     (k, m) whose embedded set has the largest T3 (ties to the smallest k).
 
     Odd n scans E(k, m) with 2k + 2m + 1 = n; even n scans the F analogue
-    with 2k + 2m = n.  Embeddings that collide mod N are skipped.
+    with 2k + 2m = n.  Embeddings that collide mod N are skipped.  Each
+    embedding is scored as an array of residues; only the running best is
+    kept, and only it becomes a ResidueSet.
     """
     if not (1 <= n <= N):
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
-
-    def score(tag: FamilyTag):
-        emb = embed_mod(generate_family(tag), N)
-        if emb.collided:
-            return None
-        return t3_fast(emb.residues), tag, emb.residues
-
-    results = [r for r in pmap(score, family_tags(n), threads) if r is not None]
-    if not results:
+    best = None
+    for tag in family_tags(n):
+        els = np.concatenate([np.arange(b.start, b.stop, b.step, dtype=np.int64)
+                              for b in _family_blocks(tag)]) % N
+        if np.bincount(els, minlength=N).max() > 1:
+            continue
+        value = _t3_arrays(els, els, els, N)
+        if best is None or value > best[0]:
+            best = value, tag, els
+    if best is None:
         raise ValueError(f"no collision-free size-{n} family embedding in Z/{N}Z")
-    value, tag, residues = max(results, key=lambda r: (r[0], -r[1].k))
-    return OptimizedWraparound(tag.k, tag.m, residues, value)
+    value, tag, els = best
+    return OptimizedWraparound(tag.k, tag.m, ResidueSet(N, els.tolist()), value)
 
 
 @dataclass(frozen=True)

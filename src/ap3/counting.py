@@ -110,39 +110,98 @@ def t3_naive(A1: ResidueSet, A2: ResidueSet | None = None, A3: ResidueSet | None
     return total
 
 
-def cyclic_convolution_exact(A: Sequence[int], B: Sequence[int], N: int) -> list[int]:
-    """Exact cyclic convolution of two 0/1 indicator supports via one big-int
-    multiplication (digits are packed wide enough that no carries occur)."""
-    width = max(1, (min(len(A), len(B))).bit_length()) + 1
-    width = ((width + 7) // 8) * 8  # whole bytes, so digits are byte slices
-    pa = sum(1 << (width * e) for e in A)
-    pb = sum(1 << (width * e) for e in B)
-    prod = pa * pb
-    nbytes = width // 8
-    buf = prod.to_bytes(2 * N * nbytes, "little")
-    out = [0] * N
-    for i in range(2 * N - 1):
-        digit = int.from_bytes(buf[i * nbytes:(i + 1) * nbytes], "little")
-        if digit:
-            out[i % N] += digit
+def _folded_digits(value: int, N: int, nbytes: int) -> np.ndarray:
+    """Digit s plus digit s + N, for s < N, of the 2N - 1 lowest
+    base-256**nbytes digits of a nonnegative int: a linear convolution read
+    off a Kronecker product and folded mod N.
+
+    int64 while a digit fits in 7 bytes, otherwise Python ints in an object
+    array.
+    """
+    raw = np.frombuffer(value.to_bytes((2 * N - 1) * nbytes, "little"), np.uint8)
+    place = 256 ** np.arange(nbytes, dtype=np.int64 if nbytes <= 7 else object)
+    lin = raw.reshape(2 * N - 1, nbytes).astype(place.dtype) @ place
+    out = lin[:N].copy()
+    out[:N - 1] += lin[N:]
     return out
 
 
-def _pair_counts(A1: ResidueSet, A3: ResidueSet, exact: bool) -> np.ndarray:
-    """r[s] = #{(x, z) in A1 x A3 : x + z = s mod N}, exact int64."""
-    N = A1.modulus
-    if exact or len(A1) * len(A3) * N >= _FFT_SAFE_LIMIT:
-        return np.array(cyclic_convolution_exact(A1.elements, A3.elements, N), dtype=np.int64)
-    ind1 = np.zeros(N)
-    ind1[list(A1.elements)] = 1.0
-    if A3.elements == A1.elements:
-        f3 = None
+def cyclic_convolution_exact(A: Sequence[int], B: Sequence[int], N: int) -> list[int]:
+    """out[s] = #{(i, j) : A[i] + B[j] = s mod N}, exactly, for integer
+    sequences A and B (repeated elements count with their multiplicity).
+
+    One big-int multiplication of the packed multiplicity vectors (Kronecker
+    substitution).  A digit of the product is at most
+    min(|A| * max mult(B), |B| * max mult(A)), and every digit gets enough
+    whole bytes to hold that bound, so digits never carry.  Packing and
+    unpacking go through numpy byte buffers.
+    """
+    if not (len(A) and len(B)):
+        return [0] * N
+    ca = np.bincount(np.asarray(A, dtype=np.int64) % N, minlength=N)
+    cb = np.bincount(np.asarray(B, dtype=np.int64) % N, minlength=N)
+    bound = min(len(A) * int(cb.max()), len(B) * int(ca.max()))
+    nbytes = bound.bit_length() // 8 + 1
+    width = min(nbytes, 8)
+
+    def pack(counts: np.ndarray) -> int:
+        buf = np.zeros((N, nbytes), np.uint8)
+        buf[:, :width] = counts.astype("<u8").view(np.uint8).reshape(N, 8)[:, :width]
+        return int.from_bytes(buf.tobytes(), "little")
+
+    return _folded_digits(pack(ca) * pack(cb), N, nbytes).tolist()
+
+
+def _fast_length(m: int) -> int:
+    """The least 5-smooth integer >= m (m >= 1), a length at which the FFT
+    needs no Bluestein fallback."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            q = p35
+            while q < m:
+                q *= 2
+            best = min(best, q)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _pair_counts(e1: np.ndarray, e3: np.ndarray, N: int, exact: bool) -> np.ndarray:
+    """r[s] = #{(x, z) in e1 x e3 : x + z = s mod N}, exact int64, for int64
+    arrays of distinct residues (e3 is e1 for a self-convolution).
+
+    The float path is a zero-padded linear convolution at L = the least
+    5-smooth length >= 2N - 1, folded mod N.  Its rounding error grows with
+    the transform length, so it runs only while |e1| * |e3| * L < 2**52;
+    beyond that the exact integer convolution is used.
+    """
+    L = _fast_length(2 * N - 1)
+    if exact or len(e1) * len(e3) * L >= _FFT_SAFE_LIMIT:
+        return np.array(cyclic_convolution_exact(e1, e3, N), dtype=np.int64)
+    ind = np.zeros(L)
+    ind[e1] = 1.0
+    F = np.fft.rfft(ind)
+    if e3 is e1:
+        F *= F
     else:
-        f3 = np.zeros(N)
-        f3[list(A3.elements)] = 1.0
-    F1 = np.fft.rfft(ind1)
-    F = F1 * F1 if f3 is None else F1 * np.fft.rfft(f3)
-    return np.rint(np.fft.irfft(F, N)).astype(np.int64)
+        ind[:] = 0.0
+        ind[e3] = 1.0
+        F *= np.fft.rfft(ind)
+    lin = np.rint(np.fft.irfft(F, L)[:2 * N - 1]).astype(np.int64)
+    r = lin[:N]
+    r[:N - 1] += lin[N:]
+    return r
+
+
+def _t3_arrays(e1: np.ndarray, e2: np.ndarray, e3: np.ndarray, N: int,
+               exact: bool = False) -> int:
+    """T3 of three int64 arrays of distinct residues mod N: the sum over b
+    in e2 of r(2b), r the cyclic convolution of e1 and e3."""
+    r = _pair_counts(e1, e3, N, exact)
+    return int(r[(2 * e2) % N].sum())
 
 
 def t3_fast(
@@ -154,8 +213,11 @@ def t3_fast(
     """T3 via the convolution identity T3 = sum over b in A2 of r(2b), where
     r is the cyclic convolution of the indicators of A1 and A3.
 
-    method: "auto" uses a float FFT while N*|A1|*|A3| < 2**52 and exact
-    integer convolution beyond; "exact" forces the integer path.
+    method: "auto" uses a float FFT, zero-padded to L = the least 5-smooth
+    integer >= 2N - 1 and folded mod N, while |A1| * |A3| * L < 2**52 (the
+    rounding error grows with the transform length, so the window is
+    measured in L) and exact integer convolution beyond; "exact" forces the
+    integer path.
     """
     if method not in ("auto", "exact"):
         raise ValueError(f"unknown method {method!r}")
@@ -164,9 +226,9 @@ def t3_fast(
     N = _check_moduli(A1, A2, A3)
     if not (A1 and A2 and A3):
         return 0
-    r = _pair_counts(A1, A3, exact=(method == "exact"))
-    idx = (2 * np.array(A2.elements, dtype=np.int64)) % N
-    return int(r[idx].sum())
+    e1 = np.array(A1.elements, dtype=np.int64)
+    e3 = e1 if A3.elements == A1.elements else np.array(A3.elements, dtype=np.int64)
+    return _t3_arrays(e1, np.array(A2.elements, dtype=np.int64), e3, N, method == "exact")
 
 
 def t3_integers(A: IntegerSet) -> CountReport:
@@ -237,13 +299,9 @@ def t3_trilinear(f1: WeightVector, f2: WeightVector, f3: WeightVector) -> int:
     nbytes = bound.bit_length() // 8 + 1
     a_pos, a_neg = (_pack([max(sign * v, 0) for v in a], nbytes) for sign in (1, -1))
     c_pos, c_neg = (_pack([max(sign * v, 0) for v in c], nbytes) for sign in (1, -1))
-    size = (2 * N - 1) * nbytes
-    plus = (a_pos * c_pos + a_neg * c_neg).to_bytes(size, "little")
-    minus = (a_pos * c_neg + a_neg * c_pos).to_bytes(size, "little")
-    r = [0] * N
-    for k in range(2 * N - 1):
-        digit = slice(k * nbytes, (k + 1) * nbytes)
-        r[k % N] += int.from_bytes(plus[digit], "little") - int.from_bytes(minus[digit], "little")
+    plus = _folded_digits(a_pos * c_pos + a_neg * c_neg, N, nbytes)
+    minus = _folded_digits(a_pos * c_neg + a_neg * c_pos, N, nbytes)
+    r = (plus - minus).tolist()
     return sum(w * r[(2 * y) % N] for y, w in enumerate(f2.values) if w)
 
 

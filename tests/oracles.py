@@ -160,3 +160,49 @@ def derivation_depths_brute(records):
     for r in records:
         depth(r)
     return depths
+
+
+def convolution_brute(A, B, N):
+    """out[s] = #{(i, j) : A[i] + B[j] = s mod N}, by a literal double loop."""
+    out = [0] * N
+    for a in A:
+        for b in B:
+            out[(a + b) % N] += 1
+    return out
+
+
+def least_5_smooth_brute(m):
+    """The least integer >= m with no prime factor above 5, by trial division."""
+    k = max(m, 1)
+    while True:
+        r = k
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return k
+        k += 1
+
+
+def optimize_wraparound_brute(N, n):
+    """(k, m, t3, residues) of the size-n family embedding in Z/NZ with the
+    largest T3, ties to the smallest k, or None if every embedding collides.
+
+    Builds every tag's set with the library's `generate_family` and
+    `embed_mod` and counts it with the literal `t3_naive` scan.
+    """
+    from ap3.constructions import embed_mod, family_tags, generate_family
+    from ap3.counting import t3_naive
+
+    best = None
+    for tag in family_tags(n):
+        emb = embed_mod(generate_family(tag), N)
+        if emb.collided:
+            continue
+        key = (t3_naive(emb.residues), -tag.k)
+        if best is None or key > best[0]:
+            best = key, tag, emb.residues
+    if best is None:
+        return None
+    (t3, _), tag, residues = best
+    return tag.k, tag.m, t3, residues.elements

@@ -15,7 +15,7 @@ from ap3.constructions import (
 )
 from ap3.counting import midpoint_upper_bound, t3_integers, t3_naive
 from ap3.sets import IntegerSet, ResidueSet
-from oracles import t3_int_brute
+from oracles import optimize_wraparound_brute, t3_int_brute
 
 
 class TestFamilies:
@@ -119,6 +119,38 @@ class TestWraparound:
             optimize_wraparound(7, 0)
         with pytest.raises(ValueError):
             optimize_wraparound(7, 8)
+
+    def test_no_threads_argument(self):
+        with pytest.raises(TypeError):
+            optimize_wraparound(7, 3, threads=2)
+
+    @pytest.mark.parametrize("N", [5, 7, 13, 31, 101])
+    def test_optimize_equals_literal_oracle(self, N):
+        for n in range(1, N + 1):
+            expected = optimize_wraparound_brute(N, n)
+            if expected is None:
+                with pytest.raises(ValueError):
+                    optimize_wraparound(N, n)
+                continue
+            best = optimize_wraparound(N, n)
+            assert (best.k, best.m, best.t3, best.residues.elements) == expected, (N, n)
+
+    def test_even_modulus_full_size_collides(self):
+        # every F(k, m) of size N spans N + 1 or more positions and wraps onto itself
+        assert optimize_wraparound_brute(6, 6) is None
+        with pytest.raises(ValueError, match="no collision-free"):
+            optimize_wraparound(6, 6)
+
+    @pytest.mark.parametrize("n, expected", [
+        (2999, (666, 833, 5829001)),
+        (2499, (416, 833, 3642501)),
+        (2000, (167, 833, 2083500)),
+    ])
+    def test_optimize_pinned_at_benchmark_inputs(self, n, expected):
+        # the three densities of the density-bounds benchmark at N = 4999
+        best = optimize_wraparound(4999, n)
+        assert (best.k, best.m, best.t3) == expected
+        assert len(best.residues) == n
 
 
 class TestIntersectSearch:

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from ap3 import counting
 from ap3.counting import (
     WeightVector,
     additive_energy,
@@ -20,7 +21,9 @@ from ap3.counting import (
 )
 from ap3.sets import IntegerSet, ResidueSet
 from oracles import (
+    convolution_brute,
     energy_brute,
+    least_5_smooth_brute,
     t3_int_brute,
     t3_mod_brute,
     t3_mod_brute_triple,
@@ -124,6 +127,72 @@ class TestT3Fast:
             for b in B:
                 expect[(a + b) % N] += 1
         assert conv == expect
+
+
+def _heavy(rng, size, support):
+    """`size` draws from range(support): repeated elements with large multiplicity."""
+    return [rng.randrange(support) for _ in range(size)]
+
+
+class TestExactConvolution:
+    # Digits get bit_length(bound) // 8 + 1 bytes, bound the largest digit
+    # min(|A| * max mult(B), |B| * max mult(A)).  Distinct elements need both
+    # sizes >= 32768 for 3-byte digits, too many for the double loop, so the
+    # 3-byte case gets there by multiplicity.
+    @pytest.mark.parametrize("case", ["1-byte", "2-byte", "3-byte", "N=1", "empty", "repeats",
+                                      "carry-prone repeats", "out of range"])
+    def test_against_double_loop(self, case):
+        rng = random.Random(case)
+        A, B, N, least_max = {
+            "1-byte": (rng.sample(range(211), 100), rng.sample(range(211), 120), 211, 1),
+            "2-byte": (rng.sample(range(1009), 700), rng.sample(range(1009), 700), 1009, 256),
+            "3-byte": (_heavy(rng, 70000, 3), [0, 1, 1, 5], 7, 1 << 16),
+            "N=1": ([0, 0, 0], [0, 0], 1, 6),
+            "empty": ([], [1, 2], 5, 0),
+            "repeats": (_heavy(rng, 300, 40), _heavy(rng, 200, 40), 101, 1),
+            "carry-prone repeats": ([0] * 20, [0] * 20, 3, 400),
+            "out of range": ([-1, 7, 12, 3], [5, -6, 0], 5, 1),
+        }[case]
+        got = cyclic_convolution_exact(A, B, N)
+        assert got == convolution_brute(A, B, N)
+        assert max(got) >= least_max
+        assert all(type(v) is int for v in got)
+
+
+class TestFloatExactSwitch:
+    def test_fast_length_is_least_5_smooth(self):
+        for m in range(1, 10001):
+            assert counting._fast_length(m) == least_5_smooth_brute(m), m
+
+    def test_dispatch_at_the_2_52_window(self, monkeypatch):
+        N = 500009
+        L = counting._fast_length(2 * N - 1)
+        a = 100000
+        b = ((1 << 52) - 1) // (a * L)  # a * b * L is the last product below 2**52
+        assert a * b * L < 1 << 52 <= a * (b + 1) * L and b + 1 <= N
+        calls = []
+
+        def spy(A, B, modulus):
+            calls.append((len(A), len(B), modulus))
+            return [0] * modulus  # the exact product here takes seconds
+
+        monkeypatch.setattr(counting, "cyclic_convolution_exact", spy)
+        A1 = ResidueSet(N, range(a))
+        everything = ResidueSet(N, range(N))
+        # y -> 2y is a bijection for odd N, so T3(A1, Z/NZ, A3) = |A1| |A3|
+        assert t3_fast(A1, everything, ResidueSet(N, range(b))) == a * b
+        assert calls == []
+        t3_fast(A1, everything, ResidueSet(N, range(b + 1)))
+        assert calls == [(a, b + 1, N)]
+
+    def test_fft_equals_exact_on_uneven_triples(self):
+        rng = random.Random(20011)
+        for N in [2, 3, 97, 1009, 4999, 10007, 20011]:
+            for _ in range(3):
+                sizes = [rng.choice([1, rng.randrange(1, N + 1), N]) for _ in range(3)]
+                A = [ResidueSet(N, rng.sample(range(N), k)) for k in sizes]
+                assert t3_fast(*A) == t3_fast(*A, method="exact"), (N, sizes)
+                assert t3_fast(A[0]) == t3_fast(A[0], method="exact"), (N, sizes)
 
 
 class TestT3Integers:
