@@ -169,17 +169,18 @@ def _fast_length(m: int) -> int:
     return best
 
 
-def _pair_counts(e1: np.ndarray, e3: np.ndarray, N: int, exact: bool) -> np.ndarray:
+def _pair_counts(e1: np.ndarray, e3: np.ndarray, N: int) -> np.ndarray:
     """r[s] = #{(x, z) in e1 x e3 : x + z = s mod N}, exact int64, for int64
     arrays of distinct residues (e3 is e1 for a self-convolution).
 
-    The float path is a zero-padded linear convolution at L = the least
-    5-smooth length >= 2N - 1, folded mod N.  Its rounding error grows with
-    the transform length, so it runs only while |e1| * |e3| * L < 2**52;
-    beyond that the exact integer convolution is used.
+    The one float/exact decision in this module.  The float path is a
+    zero-padded linear convolution at L = the least 5-smooth length
+    >= 2N - 1, folded mod N.  Its rounding error grows with the transform
+    length, so it runs only while |e1| * |e3| * L < 2**52; beyond that the
+    exact integer convolution is used.
     """
     L = _fast_length(2 * N - 1)
-    if exact or len(e1) * len(e3) * L >= _FFT_SAFE_LIMIT:
+    if len(e1) * len(e3) * L >= _FFT_SAFE_LIMIT:
         return np.array(cyclic_convolution_exact(e1, e3, N), dtype=np.int64)
     ind = np.zeros(L)
     ind[e1] = 1.0
@@ -196,31 +197,22 @@ def _pair_counts(e1: np.ndarray, e3: np.ndarray, N: int, exact: bool) -> np.ndar
     return r
 
 
-def _t3_arrays(e1: np.ndarray, e2: np.ndarray, e3: np.ndarray, N: int,
-               exact: bool = False) -> int:
+def _t3_arrays(e1: np.ndarray, e2: np.ndarray, e3: np.ndarray, N: int) -> int:
     """T3 of three int64 arrays of distinct residues mod N: the sum over b
     in e2 of r(2b), r the cyclic convolution of e1 and e3."""
-    r = _pair_counts(e1, e3, N, exact)
+    r = _pair_counts(e1, e3, N)
     return int(r[(2 * e2) % N].sum())
 
 
-def t3_fast(
-    A1: ResidueSet,
-    A2: ResidueSet | None = None,
-    A3: ResidueSet | None = None,
-    method: str = "auto",
-) -> int:
+def t3_fast(A1: ResidueSet, A2: ResidueSet | None = None, A3: ResidueSet | None = None) -> int:
     """T3 via the convolution identity T3 = sum over b in A2 of r(2b), where
     r is the cyclic convolution of the indicators of A1 and A3.
 
-    method: "auto" uses a float FFT, zero-padded to L = the least 5-smooth
-    integer >= 2N - 1 and folded mod N, while |A1| * |A3| * L < 2**52 (the
-    rounding error grows with the transform length, so the window is
-    measured in L) and exact integer convolution beyond; "exact" forces the
-    integer path.
+    r comes from _pair_counts: a float FFT, zero-padded to L = the least
+    5-smooth integer >= 2N - 1 and folded mod N, while |A1| * |A3| * L <
+    2**52 (the rounding error grows with the transform length, so the window
+    is measured in L), and exact integer convolution beyond.
     """
-    if method not in ("auto", "exact"):
-        raise ValueError(f"unknown method {method!r}")
     A2 = A1 if A2 is None else A2
     A3 = A1 if A3 is None else A3
     N = _check_moduli(A1, A2, A3)
@@ -228,7 +220,7 @@ def t3_fast(
         return 0
     e1 = np.array(A1.elements, dtype=np.int64)
     e3 = e1 if A3.elements == A1.elements else np.array(A3.elements, dtype=np.int64)
-    return _t3_arrays(e1, np.array(A2.elements, dtype=np.int64), e3, N, method == "exact")
+    return _t3_arrays(e1, np.array(A2.elements, dtype=np.int64), e3, N)
 
 
 def t3_integers(A: IntegerSet) -> CountReport:
@@ -306,25 +298,24 @@ def t3_trilinear(f1: WeightVector, f2: WeightVector, f3: WeightVector) -> int:
 
 
 def additive_energy(A: AnySet, B: AnySet) -> int:
-    """E(A, B): quadruples (a1, b1, a2, b2) with a1 + b1 = a2 + b2, exactly."""
+    """E(A, B): quadruples (a1, b1, a2, b2) with a1 + b1 = a2 + b2, exactly.
+
+    E is the sum of r(s)^2 over the sums s, r(s) the number of pairs in
+    A x B summing to s.  Mod N, r comes from _pair_counts, under the same
+    2**52 float window as t3_fast.  Over Z the sums are counted by value, so
+    nothing is allocated per integer of their span.
+    """
     if isinstance(A, ResidueSet) != isinstance(B, ResidueSet):
         raise ValueError("sets live in different contexts (Z vs Z/NZ)")
     if len(A) == 0 or len(B) == 0:
         return 0
-    if isinstance(A, ResidueSet):
-        N = _check_moduli(A, B)
-        if len(A) * len(B) <= 1 << 20:
-            sums = (np.add.outer(np.array(A.elements), np.array(B.elements)) % N).ravel()
-            counts = np.bincount(sums, minlength=N)
-        else:
-            counts = np.array(cyclic_convolution_exact(A.elements, B.elements, N), dtype=np.int64)
-        return int(np.dot(counts, counts))
     a = np.array(A.elements, dtype=np.int64)
-    b = np.array(B.elements, dtype=np.int64)
-    sums = np.add.outer(a, b).ravel()
-    sums -= sums.min()
-    counts = np.bincount(sums)
-    return int(np.dot(counts, counts))
+    b = a if B.elements == A.elements else np.array(B.elements, dtype=np.int64)
+    if isinstance(A, ResidueSet):
+        r = _pair_counts(a, b, _check_moduli(A, B))
+    else:
+        r = np.unique(np.add.outer(a, b), return_counts=True)[1]
+    return int(np.dot(r, r))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .sets import (
     CanonicalForm,
     IntegerSet,
     ResidueSet,
+    _mod_form,
     affine_orbit_transversal,
     canonicalize,
     is_prime,
@@ -176,7 +177,8 @@ def extremal_mod(
         raise ValueError(f"modular search requires a prime modulus, got {N}")
     if not (1 <= n <= N):
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
-    candidates = comb(N - 1, n - 1)
+    # the transversal tests {0, 1} + rest over the (n-2)-subsets of {2..N-1}
+    candidates = comb(N - 2, n - 2) if n >= 2 else 1
     if candidates > budget_nodes:
         raise BudgetExceededError(
             f"search over n={n}, N={N} needs {candidates} candidates, "
@@ -186,8 +188,9 @@ def extremal_mod(
 
     rows = [(t3_naive(rep), rep) for rep in affine_orbit_transversal(n, N)]
     best = (max if side == "max" else min)(v for v, _ in rows)
+    # a representative is its own least image, reached by the identity map
     wits = sorted(
-        (canonicalize(rep) for v, rep in rows if v == best),
+        (_mod_form(N, rep.bitmask, 1, 0) for v, rep in rows if v == best),
         key=lambda f: f.encoding,
     )
     return ExtremalResult(best, tuple(wits), candidates, candidates - len(rows))

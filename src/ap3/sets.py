@@ -320,13 +320,18 @@ def _least_image(
     return best, maps
 
 
+def _mod_form(N: int, least: int, a: int, p: int) -> CanonicalForm:
+    """The canonical form whose representative has the N-bit mask `least`,
+    reached from the set by x -> a*x - p."""
+    rep = tuple(e for e in range(N) if least >> e & 1)
+    gaps = tuple(y - x for x, y in zip(rep, rep[1:] + (N,)))
+    return CanonicalForm(ResidueSet(N, rep), (N, *gaps), AffineMap(a, -p % N, N))
+
+
 def _canonicalize_mod(A: ResidueSet) -> CanonicalForm:
     N = A.modulus
     best, maps = _least_image(A.elements, N, _unit_inverses(N))
-    a, p = min(maps)
-    rep = tuple(e for e in range(N) if best >> e & 1)
-    gaps = tuple(y - x for x, y in zip(rep, rep[1:] + (N,)))
-    return CanonicalForm(ResidueSet(N, rep), (N, *gaps), AffineMap(a, -p % N, N))
+    return _mod_form(N, best, *min(maps))
 
 
 def _normalize_int(els: tuple[int, ...]) -> tuple[int, ...]:

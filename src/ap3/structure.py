@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import ceil
 from typing import NamedTuple
 
@@ -174,8 +175,9 @@ def decompose_heuristic(
         merged = False
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
-                if _parts_communicate(parts[i], parts[j], epsilon_prime, L):
-                    union = ResidueSet(N, parts[i].element_set | parts[j].element_set)
+                P, Q = parts[i], parts[j]
+                if _communicates(_max_dilated_energy(P, Q, L), len(P), len(Q), epsilon_prime):
+                    union = ResidueSet(N, P.element_set | Q.element_set)
                     parts = [p for k, p in enumerate(parts) if k not in (i, j)] + [union]
                     merged = True
                     break
@@ -185,14 +187,17 @@ def decompose_heuristic(
     return Decomposition(tuple(parts), noise, Fraction(epsilon), Fraction(epsilon_prime), L)
 
 
-def _parts_communicate(P: ResidueSet, Q: ResidueSet, eps_prime: Fraction, L: int) -> bool:
-    cube = (len(P) * len(Q)) ** 3
-    for li in range(1, L + 1):
-        for lj in range(1, L + 1):
-            e = additive_energy(P.dilate(li), Q.dilate(lj))
-            if e * e * eps_prime.denominator**2 >= eps_prime.numerator**2 * cube:
-                return True
-    return False
+def _max_dilated_energy(P: ResidueSet, Q: ResidueSet, L: int) -> int:
+    """The maximum of E(i*P, j*Q) over 1 <= i, j <= L."""
+    return max(
+        additive_energy(P.dilate(i), Q.dilate(j)) for i in range(1, L + 1) for j in range(1, L + 1)
+    )
+
+
+def _communicates(energy: int, a: int, b: int, eps: Fraction) -> bool:
+    """Whether sets of sizes a and b with this energy communicate additively,
+    energy >= eps * (a*b)^{3/2}, compared exactly as energy^2 >= eps^2 (a*b)^3."""
+    return energy * energy * eps.denominator**2 >= eps.numerator**2 * (a * b) ** 3
 
 
 @dataclass(frozen=True)
@@ -221,8 +226,9 @@ class ConditionReport:
 def verify_decomposition(D: Decomposition) -> ConditionReport:
     """Exact evaluation of the decomposition conditions for all dilations
     lambda in {1..L}: cross energies between distinct parts against
-    epsilon_prime * (|A_i| |A_j|)^{3/2}, and noise-against-whole energies
-    against epsilon * |A|^3."""
+    epsilon_prime * (|A_i| |A_j|)^{3/2} (the cross condition holds when no
+    two parts communicate by the merge rule of decompose_heuristic), and
+    noise-against-whole energies against epsilon * |A|^3."""
     parts, noise, L = D.parts, D.noise, D.L
     whole = D.whole
     n_total = len(whole)
@@ -232,41 +238,22 @@ def verify_decomposition(D: Decomposition) -> ConditionReport:
     largeness = max((Fraction(n_total, s) for s in sizes), default=None)
     doublings = tuple(doubling_delta(p) for p in parts)
 
-    cross: list[tuple[int, ...]] = []
+    # E(i*P, j*Q) = E(j*Q, i*P), so each unordered pair is computed once
+    cross = [[0] * k for _ in range(k)]
     cross_ok = True
-    for i in range(k):
-        row = []
-        for j in range(k):
-            if i == j:
-                row.append(0)
-                continue
-            worst = max(
-                additive_energy(parts[i].dilate(li), parts[j].dilate(lj))
-                for li in range(1, L + 1)
-                for lj in range(1, L + 1)
-            )
-            row.append(worst)
-            if i < j:
-                cube = (sizes[i] * sizes[j]) ** 3
-                eps2 = D.epsilon_prime**2
-                if worst * worst * eps2.denominator > eps2.numerator * cube:
-                    cross_ok = False
-        cross.append(tuple(row))
+    for i, j in combinations(range(k), 2):
+        worst = cross[i][j] = cross[j][i] = _max_dilated_energy(parts[i], parts[j], L)
+        if _communicates(worst, sizes[i], sizes[j], D.epsilon_prime):
+            cross_ok = False
 
-    noise_worst = 0
-    if len(noise) > 0:
-        noise_worst = max(
-            additive_energy(noise.dilate(l0), whole.dilate(l1))
-            for l0 in range(1, L + 1)
-            for l1 in range(1, L + 1)
-        )
+    noise_worst = _max_dilated_energy(noise, whole, L) if len(noise) else 0
     noise_ok = noise_worst <= D.epsilon * n_total**3
 
     return ConditionReport(
         part_sizes=sizes,
         largeness_ratio=largeness,
         part_doubling=doublings,
-        cross_energy=tuple(cross),
+        cross_energy=tuple(map(tuple, cross)),
         cross_communication_ok=cross_ok,
         noise_energy_max=noise_worst,
         noise_ok=noise_ok,
@@ -324,9 +311,7 @@ def check_union_doubling(A: ResidueSet, B: ResidueSet, eta: Fraction) -> UnionDo
     if not (0 < eta <= 1):
         raise ValueError("eta must lie in (0, 1]")
     e = additive_energy(A, B)
-    cube = (len(A) * len(B)) ** 3
-    applicable = e * e * eta.denominator**2 >= eta.numerator**2 * cube
-    if not applicable:
+    if not _communicates(e, len(A), len(B), eta):
         return UnionDoublingCheck(False, None, e, None, None)
     union = ResidueSet(A.modulus, A.element_set | B.element_set)
     delta_union = doubling_delta(union)

@@ -18,8 +18,8 @@ SEARCH_MOD_STDOUT = """\
   "seed": 0,
   "side": "min"
  },
- "pruned_count": 13,
- "search_space_size": 15,
+ "pruned_count": 3,
+ "search_space_size": 5,
  "value": 3,
  "witnesses": [
   {
@@ -186,7 +186,7 @@ class TestSearch:
         "argv, stdout, summary",
         [
             (["search", "-n", "3", "-N", "7", "--side", "min"], SEARCH_MOD_STDOUT,
-             r"# search context=mod 7 n=3 candidates=15 orbits=2 elapsed_s=\d+\.\d{3}"),
+             r"# search context=mod 7 n=3 candidates=5 orbits=2 elapsed_s=\d+\.\d{3}"),
             (["search", "--integers", "-n", "4"], SEARCH_INT_STDOUT,
              r"# search context=integers n=4 candidates=56 pruned=0 elapsed_s=\d+\.\d{3}"),
         ],

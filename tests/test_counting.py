@@ -31,6 +31,13 @@ from oracles import (
 )
 
 
+def _t3_exact(A1, A2, A3):
+    """Sum over b in A2 of r(2b), r the exact convolution of A1 and A3."""
+    N = A1.modulus
+    r = cyclic_convolution_exact(A1.elements, A3.elements, N)
+    return sum(r[2 * b % N] for b in A2)
+
+
 class TestT3Naive:
     def test_singleton(self):
         assert t3_naive(ResidueSet(5, [0])) == 1
@@ -76,26 +83,27 @@ class TestT3Fast:
             A = [ResidueSet(N, rng.sample(range(N), rng.randrange(N + 1))) for _ in range(3)]
             assert t3_fast(*A) == t3_naive(*A)
 
-    def test_exact_method_matches(self):
+    def test_exact_method_matches(self, monkeypatch):
+        # a closed float window sends every convolution down the exact path
+        monkeypatch.setattr(counting, "_FFT_SAFE_LIMIT", 0)
         rng = random.Random(7)
         for _ in range(25):
             N = rng.randrange(4, 120)
             A = ResidueSet(N, rng.sample(range(N), rng.randrange(N + 1)))
-            assert t3_fast(A, method="exact") == t3_naive(A)
+            assert t3_fast(A) == t3_naive(A)
 
-    def test_exact_method_at_scale(self):
+    def test_exact_method_at_scale(self, monkeypatch):
         N = 2003
         A = ResidueSet(N, random.Random(13).sample(range(N), 900))
-        assert t3_fast(A, method="exact") == t3_fast(A)
+        expect = t3_naive(A)
+        assert t3_fast(A) == expect
+        monkeypatch.setattr(counting, "_FFT_SAFE_LIMIT", 0)
+        assert t3_fast(A) == expect
 
     def test_tiny_moduli(self):
         assert t3_fast(ResidueSet(1, [0])) == t3_naive(ResidueSet(1, [0])) == 1
         A2 = ResidueSet(2, [0, 1])
         assert t3_fast(A2) == t3_naive(A2) == 4
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            t3_fast(ResidueSet(5, [0]), method="quantum")
 
     @given(st.data())
     def test_affine_invariance(self, data):
@@ -191,8 +199,10 @@ class TestFloatExactSwitch:
             for _ in range(3):
                 sizes = [rng.choice([1, rng.randrange(1, N + 1), N]) for _ in range(3)]
                 A = [ResidueSet(N, rng.sample(range(N), k)) for k in sizes]
-                assert t3_fast(*A) == t3_fast(*A, method="exact"), (N, sizes)
-                assert t3_fast(A[0]) == t3_fast(A[0], method="exact"), (N, sizes)
+                # t3_naive takes about 0.25 s per call at N = 20011
+                expect = t3_naive if N <= 4999 else _t3_exact
+                assert t3_fast(*A) == expect(*A), (N, sizes)
+                assert t3_fast(A[0]) == expect(A[0], A[0], A[0]), (N, sizes)
 
 
 class TestT3Integers:
@@ -312,6 +322,36 @@ class TestAdditiveEnergy:
             B = rng.sample(range(N), rng.randrange(1, N + 1))
             assert additive_energy(ResidueSet(N, A), ResidueSet(N, B)) == energy_brute(A, B, N)
             assert additive_energy(IntegerSet(A), IntegerSet(B)) == energy_brute(A, B)
+
+    def test_against_brute_on_both_sides_of_the_float_exact_switch(self, monkeypatch):
+        # the window is moved to each pair: first just inside it, then just outside
+        calls = []
+        exact = counting.cyclic_convolution_exact
+
+        def spy(A, B, modulus):
+            calls.append((len(A), len(B), modulus))
+            return exact(A, B, modulus)
+
+        monkeypatch.setattr(counting, "cyclic_convolution_exact", spy)
+        rng = random.Random(31)
+        for N in (1, 2, 3, 7, 12, 13):
+            L = counting._fast_length(2 * N - 1)
+            full = list(range(N))
+            A = rng.sample(full, rng.randrange(1, N + 1))
+            B = rng.sample(full, rng.randrange(1, N + 1))
+            for P, Q in ((full, full), (A, A), (A, B), (full, B)):
+                product = len(P) * len(Q) * L
+                for limit, expect_calls in ((product + 1, []), (product, [(len(P), len(Q), N)])):
+                    monkeypatch.setattr(counting, "_FFT_SAFE_LIMIT", limit)
+                    calls.clear()
+                    got = additive_energy(ResidueSet(N, P), ResidueSet(N, Q))
+                    assert got == energy_brute(P, Q, N), (N, P, Q, limit)
+                    assert calls == expect_calls
+
+    def test_integer_sums_far_apart(self):
+        # four distinct sums spread over 10**12 integers: counted by value,
+        # nothing is allocated per integer of the span
+        assert additive_energy(IntegerSet([0, 10**12]), IntegerSet([0, 1])) == 4
 
     def test_context_mismatch(self):
         with pytest.raises(ValueError):

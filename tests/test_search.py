@@ -140,18 +140,20 @@ class TestExtremalMod:
             extremal_mod(10, 101)
 
     def test_output_counts_pinned(self):
-        # the reported search space is every candidate containing 0, whatever
-        # the transversal enumerates internally; 95 orbits at n=8, N=17
+        # the reported search space is the candidates the transversal tests,
+        # {0, 1} + rest over the (n-2)-subsets of {2..N-1}; 95 orbits at n=8, N=17
         res = extremal_mod(8, 17)
-        assert res.search_space_size == 11440 == comb(16, 7)
-        assert res.pruned_count == 11345
+        assert res.search_space_size == 5005 == comb(15, 6)
+        assert res.pruned_count == 4910
+        assert extremal_mod(1, 17).search_space_size == 1
         # the budget is checked against the same count
         with pytest.raises(BudgetExceededError) as exc:
             extremal_mod(10, 101)
-        assert exc.value.estimate == comb(100, 9)
+        assert exc.value.estimate == comb(99, 8)
 
     def test_one_canonicalize_call_per_witness(self, monkeypatch):
-        # only the witnesses of the requested side are canonicalized
+        # witnesses are transversal representatives, their own canonical
+        # forms, so none is canonicalized; their forms equal canonicalize's
         calls = []
         original = search.canonicalize
 
@@ -164,7 +166,10 @@ class TestExtremalMod:
             for n in range(1, 14):
                 calls.clear()
                 res = extremal_mod(n, 13, side)
-                assert len(calls) == len(res.witnesses)
+                assert calls == []
+                for w in res.witnesses:
+                    form = original(w.representative)
+                    assert (w, w.to_representative) == (form, form.to_representative)
 
 
 class TestViaComplement:

@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from ap3 import structure
 from ap3.constructions import FamilyTag, embed_mod, generate_family, random_set
 from ap3.counting import additive_energy
 from ap3.sets import ResidueSet, dilate
@@ -141,6 +142,35 @@ class TestVerifyDecomposition:
         assert rep.cross_energy[0][0] == rep.cross_energy[1][1] == 0
         assert rep.cross_energy[0][1] == rep.cross_energy[1][0]
         assert rep.all_checked_hold == (rep.cross_communication_ok and rep.noise_ok)
+
+    def test_equality_communicates_in_merge_rule_and_cross_condition(self):
+        # all 16 sums are distinct, so E = 16 = (1/4) * (4 * 4)^{3/2} exactly
+        N = 1009
+        P = ResidueSet(N, [0, 1, 3, 7])
+        Q = ResidueSet(N, [100, 120, 150, 190])
+        energy = structure._max_dilated_energy(P, Q, 1)
+        assert energy == additive_energy(P, Q) == 16
+        assert structure._communicates(energy, 4, 4, Fr(1, 4))
+        rep = verify_decomposition(Decomposition((P, Q), ResidueSet(N, []), Fr(1, 10), Fr(1, 4), 1))
+        assert rep.cross_energy == ((0, 16), (16, 0))
+        assert not rep.cross_communication_ok
+
+    def test_energy_calls_per_unordered_pair(self, monkeypatch):
+        calls = []
+
+        def spy(A, B):
+            calls.append((A, B))
+            return additive_energy(A, B)
+
+        monkeypatch.setattr(structure, "additive_energy", spy)
+        N, L = 101, 2
+        parts = tuple(ResidueSet(N, range(10 * i, 10 * i + 5)) for i in range(3))
+        rep = verify_decomposition(Decomposition(parts, ResidueSet(N, [50, 70]), Fr(1, 10), Fr(1, 4), L))
+        # L**2 dilation pairs for each of the 3 unordered part pairs, and for the noise
+        assert len(calls) == (3 + 1) * L**2
+        for i in range(3):
+            for j in range(3):
+                assert rep.cross_energy[i][j] == rep.cross_energy[j][i]
 
 
 class TestT3EnergyInequality:
