@@ -145,16 +145,18 @@ def _eligible(record: BoundRecord) -> bool:
 class Ledger:
     """Append-only store of BoundRecords with best-bound tracking.
 
-    Best uppers and lowers per (target, alpha) are kept in indexes updated on
-    every add, so best-bound queries never rescan the record list.  A
-    closure pass does: `_best_map` walks every record six times per pass.
+    The best upper and lower record per (target, alpha) is kept in indexes
+    updated on every add, so best-bound queries and the closure's complement
+    passes never rescan the record list.  Its product passes do: `_best_map`
+    walks every record twice per pass, to keep only factors below the depth
+    cap.
     """
 
     def __init__(self):
         self.records: list[BoundRecord] = []
         self._depths: dict[str, int] = {}
-        self._upper: dict[tuple[str, Fraction], Fraction] = {}
-        self._lower: dict[tuple[str, Fraction], Fraction] = {}
+        self._upper: dict[tuple[str, Fraction], BoundRecord] = {}
+        self._lower: dict[tuple[str, Fraction], BoundRecord] = {}
 
     def add(self, record: BoundRecord) -> BoundRecord:
         """Append a record; one without an id gets a fresh r<NNNNN> id.
@@ -185,19 +187,27 @@ class Ledger:
             key = (record.target, record.alpha)
             if record.side in ("upper", "exact"):
                 cur = self._upper.get(key)
-                if cur is None or record.value < cur:
-                    self._upper[key] = record.value
+                if cur is None or record.value < cur.value:
+                    self._upper[key] = record
             if record.side in ("lower", "exact"):
                 cur = self._lower.get(key)
-                if cur is None or record.value > cur:
-                    self._lower[key] = record.value
+                if cur is None or record.value > cur.value:
+                    self._lower[key] = record
         return record
 
     def best_upper(self, target: str, alpha: Fraction) -> Fraction | None:
-        return self._upper.get((target, alpha))
+        rec = self._upper.get((target, alpha))
+        return None if rec is None else rec.value
 
     def best_lower(self, target: str, alpha: Fraction) -> Fraction | None:
-        return self._lower.get((target, alpha))
+        rec = self._lower.get((target, alpha))
+        return None if rec is None else rec.value
+
+    def best_records(self, target: str, upper: bool) -> list[BoundRecord]:
+        """The best upper (or lower) record at each density of target, in
+        the order the densities first received one."""
+        index = self._upper if upper else self._lower
+        return [rec for (t, _), rec in index.items() if t == target]
 
     def alphas(self, target: str | None = None) -> list[Fraction]:
         seen = {
@@ -317,12 +327,12 @@ def complement_transfer(record: BoundRecord) -> BoundRecord:
 
 
 def _best_map(ledger: Ledger, target: str, sides: tuple[str, ...], pick_min: bool,
-              below_depth: int | None = None):
+              below_depth: int):
     best: dict[Fraction, BoundRecord] = {}
     for r in ledger.records:
         if not _eligible(r) or r.target != target or r.side not in sides:
             continue
-        if below_depth is not None and r.depth >= below_depth:
+        if r.depth >= below_depth:
             continue
         cur = best.get(r.alpha)
         if cur is None:
@@ -355,13 +365,8 @@ def submultiplicative_closure(
     for _ in range(2 * depth + 2):
         improved = False
         # complement transfers of current best records (depth preserved)
-        for target, sides, pick_min in (
-            ("m3", ("upper", "exact"), True),
-            ("m3", ("lower", "exact"), False),
-            ("M3", ("upper", "exact"), True),
-            ("M3", ("lower", "exact"), False),
-        ):
-            for rec in _best_map(ledger, target, sides, pick_min).values():
+        for target, upper in (("m3", True), ("m3", False), ("M3", True), ("M3", False)):
+            for rec in ledger.best_records(target, upper):
                 cand = complement_transfer(rec)
                 if cand.side != "exact" and _improves(ledger, cand):
                     ledger.add(cand)
@@ -508,6 +513,8 @@ def _best_curve_product(alpha: Fraction, max_denominator: int = 96) -> Fraction 
 def ef_sharpness_cutoff(digits: int = 14) -> CutoffCertificate:
     """The cutoff density 2(7 + 2*sqrt(6))/75 = 0.317306119615..., to at
     least `digits` decimal digits, with its comparison certificate."""
+    if digits < 1:
+        raise ValueError(f"digits must be >= 1, got {digits}")
     s_lo, s_hi = _sqrt6_interval(digits + 16)
     lower = 2 * (7 + 2 * s_lo) / 75
     upper = 2 * (7 + 2 * s_hi) / 75

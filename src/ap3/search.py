@@ -33,6 +33,7 @@ __all__ = [
     "ClassificationResult",
     "BudgetExceededError",
     "DEFAULT_BUDGET",
+    "integer_width_cap",
     "max3ap_integers",
     "extremal_mod",
     "extremal_mod_via_complement",
@@ -71,6 +72,11 @@ class ExtremalResult:
         }
 
 
+def integer_width_cap(n: int, width_cap: int | None = None) -> int:
+    """The diameter cap max3ap_integers searches under: width_cap, or 2n."""
+    return 2 * n if width_cap is None else width_cap
+
+
 def max3ap_integers(
     n: int,
     width_cap: int | None = None,
@@ -87,7 +93,7 @@ def max3ap_integers(
     """
     if n < 1:
         raise ValueError("cardinality must be >= 1")
-    W = 2 * n if width_cap is None else width_cap
+    W = integer_width_cap(n, width_cap)
     if W < n - 1:
         raise ValueError(f"width cap {W} cannot hold {n} distinct integers")
     if n == 1:

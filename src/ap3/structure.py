@@ -90,7 +90,12 @@ def rectify(A: ResidueSet, coverage: float | Fraction = 1) -> RectificationResul
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A partition of a set into structured parts plus a noise part."""
+    """A partition of a set into structured parts plus a noise part.
+
+    epsilon and epsilon_prime are stored as exact Fractions; a float is
+    taken at its exact binary value, as in decompose_heuristic and
+    check_union_doubling.
+    """
 
     parts: tuple[ResidueSet, ...]
     noise: ResidueSet
@@ -99,6 +104,8 @@ class Decomposition:
     L: int
 
     def __post_init__(self):
+        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        object.__setattr__(self, "epsilon_prime", Fraction(self.epsilon_prime))
         if not (0 < self.epsilon < Fraction(1, 2)) or not (0 < self.epsilon_prime < Fraction(1, 2)):
             raise ValueError("decomposition parameters must lie in (0, 1/2)")
         if self.L < 1:
@@ -145,6 +152,7 @@ def decompose_heuristic(
     reports which structural conditions the result actually satisfies.
     """
     N = A.modulus
+    epsilon, epsilon_prime = Fraction(epsilon), Fraction(epsilon_prime)
     min_size = max(2, ceil(epsilon * len(A)))
     remaining = set(A.elements)
     parts: list[ResidueSet] = []
@@ -184,7 +192,7 @@ def decompose_heuristic(
             if merged:
                 break
     parts.sort(key=lambda p: p.elements)
-    return Decomposition(tuple(parts), noise, Fraction(epsilon), Fraction(epsilon_prime), L)
+    return Decomposition(tuple(parts), noise, epsilon, epsilon_prime, L)
 
 
 def _max_dilated_energy(P: ResidueSet, Q: ResidueSet, L: int) -> int:
@@ -303,11 +311,12 @@ def check_union_doubling(A: ResidueSet, B: ResidueSet, eta: Fraction) -> UnionDo
     """Under E(A,B) >= eta (|A||B|)^{3/2}: delta[A u B] <= 4 K_A K_B / eta.
 
     The precondition and conclusion are evaluated exactly (the 3/2 powers by
-    comparing squares).  When the energy hypothesis fails the check is
-    reported not applicable.
+    comparing squares), with eta taken as the exact Fraction of its value.
+    When the energy hypothesis fails the check is reported not applicable.
     """
     if A.modulus != B.modulus:
         raise ValueError("modulus mismatch")
+    eta = Fraction(eta)
     if not (0 < eta <= 1):
         raise ValueError("eta must lie in (0, 1]")
     e = additive_energy(A, B)

@@ -126,7 +126,7 @@ def suite_t3_energy(seed: int = 0, cases: int = 250, N: int = 101):
     return rows, all(r["holds"] for r in rows)
 
 
-def suite_extremal_int(n_max: int = 8, **_):
+def suite_extremal_int(n_max: int = 8):
     """Exhaustive integer maxima: value ceil(n^2/2) and witnesses exactly the
     canonical family forms of each size."""
     rows = []
@@ -140,7 +140,7 @@ def suite_extremal_int(n_max: int = 8, **_):
     return rows, all(r["holds"] for r in rows)
 
 
-def suite_extremal_mod(moduli=(5, 7, 11, 13), **_):
+def suite_extremal_mod(moduli=(5, 7, 11, 13)):
     """Direct search against the complement-identity route, both sides."""
     rows = []
     for N in moduli:
@@ -200,7 +200,7 @@ def suite_final_lemma(seed: int = 0, cases: int = 20, N: int = 1009):
     return rows, all(r["holds"] for r in rows)
 
 
-def suite_behrend(max_product: int = 12, **_):
+def suite_behrend(max_product: int = 12):
     """Digit-sphere sets contain no combinatorial progression at all."""
     rows = []
     for d in range(1, max_product + 1):
@@ -232,4 +232,4 @@ SUITES: dict[str, Callable] = {
 def run_suite(name: str, **kwargs):
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](**{k: v for k, v in kwargs.items() if v is not None})
+    return SUITES[name](**kwargs)

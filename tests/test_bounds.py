@@ -372,6 +372,18 @@ class TestCutoff:
         assert cert.decimal.startswith("0.317306119615")
         assert cert.upper - cert.lower < Fr(1, 10**14)
 
+    @pytest.mark.parametrize("digits", [1, 5, 13])
+    def test_digits_as_asked(self, digits):
+        # truncated, not rounded: a prefix of the 30-digit value
+        decimal = ef_sharpness_cutoff(digits).decimal
+        assert len(decimal) == 2 + digits
+        assert ef_sharpness_cutoff(30).decimal.startswith(decimal)
+
+    @pytest.mark.parametrize("digits", [0, -1])
+    def test_digits_below_one_rejected(self, digits):
+        with pytest.raises(ValueError):
+            ef_sharpness_cutoff(digits)
+
     def test_samples_bracket_the_claim(self):
         cert = ef_sharpness_cutoff()
         by_alpha = {s["alpha"]: s for s in cert.samples}

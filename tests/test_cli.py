@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from ap3.cli import main
+from ap3.cli import build_parser, main
 
 
 # Exact stdout of two searches, kept byte for byte: the summary line goes to
@@ -15,7 +15,6 @@ SEARCH_MOD_STDOUT = """\
   "command": "search",
   "context": "mod 7",
   "n": 3,
-  "seed": 0,
   "side": "min"
  },
  "pruned_count": 3,
@@ -40,7 +39,6 @@ SEARCH_INT_STDOUT = """\
   "command": "search",
   "context": "integers",
   "n": 4,
-  "seed": 0,
   "width_cap": 8
  },
  "pruned_count": 0,
@@ -74,8 +72,7 @@ COUNT_STDOUT = """\
  "combinatorial": 3,
  "config": {
   "command": "count",
-  "input": "s.json",
-  "seed": 0
+  "input": "s.json"
  },
  "t3": 10,
  "trivial": 4
@@ -103,7 +100,7 @@ class TestCount:
         payload = json.loads(out)
         assert payload["t3"] == 12
         assert payload["trivial"] == 4 and payload["combinatorial"] == 4
-        assert payload["config"]["seed"] == 0
+        assert payload["config"] == {"command": "count", "input": path}
 
     def test_empty_set(self, tmp_path, capsys):
         path = write_doc(tmp_path, "s.json", {"modulus": 7, "elements": []})
@@ -239,14 +236,14 @@ class TestVerify:
         assert path.read_text().startswith("case,lhs,rhs,holds")
 
     @pytest.mark.parametrize(
-        "suite", ["complement", "energy-lemma", "t3-energy", "extremal-int",
-                  "rectify", "final-lemma", "behrend"]
+        "argv",
+        [[suite, "--cases", "4"]
+         for suite in ("complement", "energy-lemma", "t3-energy", "rectify", "final-lemma")]
+        + [["extremal-int", "--n-max", "5"], ["behrend"]],
+        ids=lambda argv: argv[0],
     )
-    def test_every_suite_smoke(self, suite, capsys):
-        argv = ["verify", suite, "--cases", "4"]
-        if suite == "extremal-int":
-            argv = ["verify", suite, "--n-max", "5"]
-        code, out, err = run(capsys, argv)
+    def test_every_suite_smoke(self, argv, capsys):
+        code, out, err = run(capsys, ["verify", *argv])
         assert code == 0, err
         assert "passed=True" in err
 
@@ -261,8 +258,7 @@ CLOSURE_STDOUT = """\
 {
  "added": 807,
  "config": {
-  "command": "bounds closure",
-  "seed": 0
+  "command": "bounds closure"
  },
  "consistent": true,
  "m3_quarter_upper": "145/13824"
@@ -344,24 +340,64 @@ class TestBounds:
         code, out, _ = run(capsys, ["bounds", "cutoff"])
         assert code == 0
         payload = json.loads(out)
-        assert payload["value"].startswith("0.317306119615")
-        assert len(payload["value"]) >= 14  # "0." + at least 12 digits
+        assert payload["value"] == "0.31730611961510"  # the library default, 14 digits
+
+    def test_cutoff_digits_reach_the_library(self, capsys):
+        code, out, _ = run(capsys, ["bounds", "cutoff", "--digits", "5"])
+        assert code == 0 and json.loads(out)["value"] == "0.31730"
+        code, _, err = run(capsys, ["bounds", "cutoff", "--digits", "0"])
+        assert code == 2 and "digits" in err
 
 
 class TestDeterminism:
+    # one case per kind of option that was parsed and then never read
     @pytest.mark.parametrize(
-        "argv",
+        "argv, flag",
         [
-            ["search", "-n", "5", "-N", "13", "--threads", "2"],
-            ["search", "-n", "5", "-N", "13", "--format", "csv"],
-            ["bounds", "cutoff", "--budget-nodes", "10"],
+            (["search", "-n", "5", "-N", "13", "--threads", "2"], "--threads"),
+            (["search", "-n", "5", "-N", "13", "--format", "csv"], "--format"),
+            (["bounds", "cutoff", "--budget-nodes", "10"], "--budget-nodes"),
+            (["count", "--in", "s.json", "--seed", "1"], "--seed"),
+            (["search", "--integers", "-n", "5", "--side", "min"], "--side"),
+            (["search", "-n", "3", "-N", "7", "--width-cap", "9"], "--width-cap"),
+            (["search", "--threshold-scan", "-N", "5", "-n", "3"], "-n"),
+            (["search", "--threshold-scan", "--integers", "-N", "5"], "--integers"),
+            (["verify", "behrend", "--cases", "3"], "--cases"),
+            (["verify", "extremal-int", "--seed", "1"], "--seed"),
+            (["verify", "t3-energy", "--N", "7"], "--N"),
+            (["bounds", "cutoff", "--ledger", "x"], "--ledger"),
+            (["bounds", "export", "--depth", "3"], "--depth"),
+            (["bounds", "build", "--digits", "3"], "--digits"),
         ],
-        ids=["search-threads", "search-format", "bounds-budget-nodes"],
+        ids=["search-threads", "search-format", "bounds-budget-nodes", "count-seed",
+             "search-integers-side", "search-modular-width-cap", "search-threshold-scan-n",
+             "search-threshold-scan-integers", "verify-behrend-cases",
+             "verify-extremal-int-seed", "verify-t3-energy-N", "bounds-cutoff-ledger",
+             "bounds-export-depth", "bounds-build-digits"],
     )
-    def test_removed_option_is_usage_error(self, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+    def test_removed_option_is_usage_error(self, capsys, argv, flag):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: the command has no such option
+            code = exc.code
+        assert code == 2
+        assert flag in capsys.readouterr().err
+
+    # the library signatures hold every default, so an option the user did
+    # not type parses to None and is not forwarded
+    @pytest.mark.parametrize(
+        "argv, given",
+        [
+            (["count", "--in", "s.json"], {"input": "s.json"}),
+            (["search"], {}),
+            (["verify", "complement"], {"suite": "complement"}),
+            (["bounds", "closure"], {"action": "closure"}),
+        ],
+        ids=["count", "search", "verify", "bounds"],
+    )
+    def test_untyped_options_parse_to_none(self, argv, given):
+        args = vars(build_parser().parse_args(argv))
+        assert {k: v for k, v in args.items() if v is not None and k not in ("fn", "command")} == given
 
     def test_repeat_run_identical(self, capsys):
         _, out1, _ = run(capsys, ["search", "--integers", "-n", "6"])

@@ -110,6 +110,15 @@ class TestDecompose:
                 got |= p.element_set
             assert got == A.element_set
 
+    def test_float_parameters_taken_exactly(self):
+        # two parts reach the merge predicate with a float epsilon_prime
+        N = 1009
+        A = ResidueSet(N, set(range(100, 140)) | {(13 * i + 500) % N for i in range(40)})
+        D = decompose_heuristic(A, epsilon=0.125, epsilon_prime=0.25)
+        assert D == decompose_heuristic(A, epsilon=Fr(1, 8), epsilon_prime=Fr(1, 4))
+        assert type(D.epsilon) is type(D.epsilon_prime) is Fr
+        assert len(D.parts) == 2
+
     def test_invalid_decompositions_rejected(self):
         N = 101
         P = ResidueSet(N, [1, 2])
@@ -121,6 +130,8 @@ class TestDecompose:
             Decomposition((ResidueSet(N, []),), ResidueSet(N, []), Fr(1, 10), Fr(1, 4), 2)
         with pytest.raises(ValueError):
             Decomposition((P,), ResidueSet(N, []), Fr(2, 3), Fr(1, 4), 2)
+        with pytest.raises(ValueError):
+            Decomposition((P,), ResidueSet(N, []), 0.1, 0.5, 2)
 
 
 class TestVerifyDecomposition:
@@ -154,6 +165,17 @@ class TestVerifyDecomposition:
         rep = verify_decomposition(Decomposition((P, Q), ResidueSet(N, []), Fr(1, 10), Fr(1, 4), 1))
         assert rep.cross_energy == ((0, 16), (16, 0))
         assert not rep.cross_communication_ok
+
+    def test_float_parameters_taken_exactly(self):
+        N = 1009
+        P = ResidueSet(N, [0, 1, 3, 7])
+        Q = ResidueSet(N, [100, 120, 150, 190])
+        D = Decomposition((P, Q), ResidueSet(N, []), 0.1, 0.25, 1)
+        assert (D.epsilon, D.epsilon_prime) == (Fr(0.1), Fr(1, 4))
+        assert type(D.epsilon) is type(D.epsilon_prime) is Fr
+        rep = verify_decomposition(D)
+        assert rep == verify_decomposition(Decomposition((P, Q), ResidueSet(N, []), Fr(0.1), Fr(1, 4), 1))
+        assert not rep.cross_communication_ok  # E = 16 = (1/4) (4 * 4)^{3/2} exactly
 
     def test_energy_calls_per_unordered_pair(self, monkeypatch):
         calls = []
@@ -224,6 +246,14 @@ class TestUnionDoubling:
         assert additive_energy(A, B) ** 2 * 4 < (30 * 30) ** 3
         chk = check_union_doubling(A, B, Fr(1, 2))
         assert not chk.applicable and chk.holds is None
+
+    def test_float_eta_taken_exactly(self):
+        A = ResidueSet(101, range(20))
+        for B in (A, A.translate(5), ResidueSet(101, range(0, 60, 3))):
+            assert check_union_doubling(A, B, 0.5) == check_union_doubling(A, B, Fr(1, 2))
+        assert check_union_doubling(A, A, 0.5).applicable
+        with pytest.raises(ValueError):
+            check_union_doubling(A, A, 1.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
