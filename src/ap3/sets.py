@@ -9,9 +9,9 @@ search.
 
 One kernel, _least_image, decides the least image a*A - p of a modular set
 (as an N-bit mask) and every map that reaches it.  canonicalize reads the
-representative, encoding and map off it; the transversal keeps a candidate
-unless some image sorts below it; orbit_size divides the group order by the
-number of maps onto the least image.
+representative, encoding and map off it; the transversal keeps an extension
+of a representative unless some image sorts below it; orbit_size divides the
+group order by the number of maps onto the least image.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -22,7 +22,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import gcd
 from typing import Iterable, Iterator, Union
 
@@ -43,7 +42,6 @@ __all__ = [
     "is_prime",
     "set_to_document",
     "set_from_document",
-    "dump_set",
     "load_set",
 ]
 
@@ -150,9 +148,6 @@ class IntegerSet:
         if lam == 0:
             raise ValueError("dilation by 0 is not allowed for integer sets")
         return IntegerSet(lam * x for x in self.elements)
-
-    def reflect(self) -> "IntegerSet":
-        return IntegerSet(-x for x in self.elements)
 
 
 AnySet = Union[ResidueSet, IntegerSet]
@@ -377,16 +372,16 @@ def affine_orbit_transversal(n: int, N: int) -> Iterator[ResidueSet]:
     (the affine group then has order N*(N-1) and acts the same way on every
     nonzero difference).  Composite moduli are not supported.
 
-    For n >= 2 two facts cut the work.  If x, y in A and d = y - x, the
-    dilate d^{-1}*A contains d^{-1}*x and d^{-1}*x + 1, so some image has a
-    gap of 1; the least gap sequence therefore starts with 1 and every
-    representative contains {0, 1}.  And an image whose gap sequence starts
-    with 1 is a*A - p with p, p + 1 in a*A, that is a*(y - x) = 1 for some
-    x, y in A: only the scales a = d^{-1}, d in A - A nonzero, and only the
-    rotations starting at a gap of 1, can reach the least sequence.  So the
-    candidates are {0, 1} + rest over the (n-2)-subsets of {2..N-1}, in
-    lexicographic order, and a candidate is yielded unless one of those
-    images is smaller (_least_image with the candidate's own mask as `below`).
+    For n >= 2 every representative contains {0, 1}: if x, y in A and
+    d = y - x, the dilate d^{-1}*A contains d^{-1}*x and d^{-1}*x + 1, so
+    some image has a gap of 1 and the least gap sequence starts with 1.
+    Representatives are closed under removing the largest element: if an
+    affine image g(T) of T = S minus its largest element sorted below T,
+    then g(S) would sort below S.  So the walk grows representatives from
+    {0, 1} by one larger residue at a time and keeps an extension unless
+    some image sorts below it (_least_image with the extension's own mask
+    as `below`); each representative is reached exactly once, in
+    lexicographic order.
     """
     if not is_prime(N):
         raise ValueError(f"orbit transversal requires a prime modulus, got {N}")
@@ -396,13 +391,17 @@ def affine_orbit_transversal(n: int, N: int) -> Iterator[ResidueSet]:
         yield ResidueSet(N, (0,))
         return
     inv = _unit_inverses(N)
-    for rest in combinations(range(2, N), n - 2):
-        els = (0, 1) + rest
-        mask = 3
-        for e in rest:
-            mask |= 1 << e
-        if _least_image(els, N, inv, mask)[0] == mask:
+    stack = [((0, 1), 3)]
+    while stack:
+        els, mask = stack.pop()
+        if len(els) == n:
             yield ResidueSet(N, els)
+            continue
+        # descending x, so the least extension is popped first
+        for x in range(N - n + len(els), els[-1], -1):
+            m = mask | 1 << x
+            if _least_image(els + (x,), N, inv, m)[0] == m:
+                stack.append((els + (x,), m))
 
 
 def orbit_size(A: ResidueSet) -> int:
@@ -452,12 +451,6 @@ def set_from_document(doc: dict) -> AnySet:
     if bad:
         raise ValueError(f"elements out of range [0, {modulus - 1}]: {bad[:5]}")
     return ResidueSet(modulus, elements)
-
-
-def dump_set(A: AnySet, path, provenance: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(set_to_document(A, provenance), fh, indent=None, sort_keys=True)
-        fh.write("\n")
 
 
 def load_set(path) -> AnySet:

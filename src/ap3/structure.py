@@ -132,7 +132,7 @@ class Decomposition:
         return ResidueSet(N, els)
 
 
-_COVERAGE_LADDER = (1.0, 0.95, 0.9, 0.75, 0.6, 0.5)
+_COVERAGE_LADDER = tuple(map(Fraction, ("1", "19/20", "9/10", "3/4", "3/5", "1/2")))
 
 
 def decompose_heuristic(
@@ -160,7 +160,7 @@ def decompose_heuristic(
         rest = ResidueSet(N, remaining)
         found = None
         for cov in _COVERAGE_LADDER:
-            t = max(1, ceil(Fraction(cov).limit_denominator(100) * len(rest)))
+            t = max(1, ceil(cov * len(rest)))
             if t < min_size:
                 break
             res = rectify(rest, cov)

@@ -140,8 +140,8 @@ class TestExtremalMod:
             extremal_mod(10, 101)
 
     def test_output_counts_pinned(self):
-        # the reported search space is the candidates the transversal tests,
-        # {0, 1} + rest over the (n-2)-subsets of {2..N-1}; 95 orbits at n=8, N=17
+        # the reported search space is the n-subsets that contain {0, 1},
+        # C(N-2, n-2) of them, of which all but the 95 orbits at n=8, N=17 are pruned
         res = extremal_mod(8, 17)
         assert res.search_space_size == 5005 == comb(15, 6)
         assert res.pruned_count == 4910

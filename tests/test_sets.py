@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from ap3 import sets
 from ap3.sets import (
     AffineMap,
     IntegerSet,
@@ -231,6 +232,30 @@ class TestTransversal:
                 if n >= 2:
                     assert rep.elements[:2] == (0, 1)
                 assert canonicalize(rep).representative.elements == rep.elements
+
+    @pytest.mark.parametrize("N", [5, 7, 11, 13, 17])
+    def test_prefix_closed(self, N):
+        # a representative minus its largest element is a representative
+        reps = {n: {r.elements for r in affine_orbit_transversal(n, N)} for n in range(2, N + 1)}
+        for n in range(3, N + 1):
+            for els in reps[n]:
+                assert els[:-1] in reps[n - 1], (N, els)
+
+    @pytest.mark.parametrize("n, N, orbits, calls", [(8, 17, 95, 843), (9, 19, 280, 2390)])
+    def test_kernel_calls_pinned(self, monkeypatch, n, N, orbits, calls):
+        # the walk tests only extensions of representatives, far fewer than
+        # the 5,005 and 19,448 n-subsets that contain {0, 1}
+        count = 0
+        original = sets._least_image
+
+        def counting(*args):
+            nonlocal count
+            count += 1
+            return original(*args)
+
+        monkeypatch.setattr(sets, "_least_image", counting)
+        assert len(list(affine_orbit_transversal(n, N))) == orbits
+        assert count == calls
 
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
